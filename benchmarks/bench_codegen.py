@@ -37,8 +37,8 @@ import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from repro.core import UnifiedAssembler, variant_names  # noqa: E402
-from repro.core.codegen import generate_program, generated_kernel  # noqa: E402
+from repro.core import ScenarioBatch, UnifiedAssembler, variant_names  # noqa: E402
+from repro.core.codegen import batched_generated_kernel  # noqa: E402
 from repro.core.tape import record_program  # noqa: E402
 from repro.fem import box_tet_mesh, get_plan  # noqa: E402
 from repro.physics import AssemblyParams  # noqa: E402
@@ -81,9 +81,8 @@ def codegen_timings(mesh, params, velocity, variant, vector_dim=VECTOR_DIM,
     t_interp = _best_of(lambda: interp.assemble(variant, velocity), repeats)
     t_compiled = _best_of(lambda: compiled.assemble(variant, velocity), repeats)
     t_codegen = _best_of(lambda: gen.assemble(variant, velocity), repeats)
-    kern = generated_kernel(
-        get_plan(mesh), variant, vector_dim,
-        kernel_params=params.as_kernel_params(),
+    kern = batched_generated_kernel(
+        get_plan(mesh), variant, vector_dim, ScenarioBatch([params])
     )
     report = kern.program.report
     replay_report = record_program(variant, params.as_kernel_params()).report
@@ -116,16 +115,15 @@ def dispatch_rows(mesh, params, velocity, variant="RS", repeats=REPEATS):
     the dispatch cost is amortized over 32x the work.
     """
     rows = []
-    kp = params.as_kernel_params()
+    one = ScenarioBatch([params])
     for vd in (32, 1024):
         asm = UnifiedAssembler(
             mesh, params, vector_dim=vd, mode="codegen", chunk_groups=1
         )
         asm.assemble(variant, velocity)  # warm
         wall = _best_of(lambda: asm.assemble(variant, velocity), repeats)
-        program = generate_program(variant, vd, kernel_params=kp)
-        kern = generated_kernel(get_plan(mesh), variant, vd, kernel_params=kp)
-        stmts = len(program.stmt_costs) * kern.ngroups
+        kern = batched_generated_kernel(get_plan(mesh), variant, vd, one)
+        stmts = len(kern.program.stmt_costs) * kern.ngroups
         rows.append({
             "benchmark": "codegen_dispatch",
             "variant": variant,
@@ -208,9 +206,8 @@ def main(argv=None):
             interp.assemble(variant, velocity),
             gen.assemble(variant, velocity),
         )
-        kern = generated_kernel(
-            get_plan(mesh), variant, vd,
-            kernel_params=params.as_kernel_params(),
+        kern = batched_generated_kernel(
+            get_plan(mesh), variant, vd, ScenarioBatch([params])
         )
         report = kern.program.report
         print(

@@ -1,7 +1,8 @@
 """Profiler overhead guard: profiling *off* must cost nothing.
 
 The op-level profiler (``repro.obs.profiler``) promises zero cost when
-disabled: ``CompiledTape.execute`` branches once per call on
+disabled: the plan-path kernel (``BatchedTape``, which single-scenario
+assembly runs as its one-scenario batch) branches once per call on
 ``profiler.enabled`` and takes the original un-instrumented loop, so an
 assembler built with the ``profile=`` knob left off must run the sweep
 at the same speed as a build that never heard of the profiler.  This

@@ -3,7 +3,8 @@
 The interpreted DSL path allocates a fresh lane-width array for every
 binop/unop; the compiled tape (``repro.core.tape``) records each variant
 once, assigns intermediates to a fixed buffer arena and replays with
-in-place ufunc calls over all element groups at once.  This bench times
+in-place ufunc calls over cache-sized chunks of element groups (the
+single-scenario path is the one-scenario batched tape).  This bench times
 both paths for every variant on the 14k-element bench mesh, asserts the
 outputs are **bit-identical**, and feeds per-variant rows (tagged
 ``"benchmark": "tape"`` and carrying ``vector_dim``) into
@@ -26,9 +27,9 @@ import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from repro.core import UnifiedAssembler, variant_names  # noqa: E402
+from repro.core import ScenarioBatch, UnifiedAssembler, variant_names  # noqa: E402
 from repro.core.autotune import autotune_vector_dim, write_autotune_report  # noqa: E402
-from repro.core.tape import compiled_tape  # noqa: E402
+from repro.core.tape import batched_tape  # noqa: E402
 from repro.fem import get_plan  # noqa: E402
 
 _REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -64,9 +65,8 @@ def tape_timings(mesh, params, velocity, variant, vector_dim=VECTOR_DIM,
 
     t_interp = _best_of(lambda: interp.assemble(variant, velocity), repeats)
     t_compiled = _best_of(lambda: compiled.assemble(variant, velocity), repeats)
-    tape = compiled_tape(
-        get_plan(mesh), variant, vector_dim,
-        kernel_params=params.as_kernel_params(),
+    tape = batched_tape(
+        get_plan(mesh), variant, vector_dim, ScenarioBatch([params])
     )
     report = tape.report
     return {

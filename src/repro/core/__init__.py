@@ -27,28 +27,22 @@ from .variants import VARIANTS, Variant, get_variant, variant_names
 from .tape import (
     BatchTapeProgram,
     BatchedTape,
-    CompiledTape,
     ElementalTape,
     RecordingBackend,
     TapeProgram,
     TapeReport,
     batched_tape,
-    compiled_tape,
     record_batch_program,
     record_program,
 )
 from .codegen import (
     BatchedCodegenProgram,
     BatchedGeneratedKernel,
-    CodegenProgram,
     ElementalCodegenProgram,
     ElementalGeneratedKernel,
-    GeneratedKernel,
     batched_generated_kernel,
     generate_batched_program,
     generate_elemental_program,
-    generate_program,
-    generated_kernel,
 )
 from .batch import ScenarioBatch
 from .unified import (
@@ -75,14 +69,13 @@ __all__ = [
     "make_specialized_kernel", "rs_kernel", "rsp_kernel", "rspr_kernel",
     "SPEC_DENSITY", "SPEC_VISCOSITY", "SPEC_VREMAN_C",
     "VARIANTS", "Variant", "get_variant", "variant_names",
-    "BatchTapeProgram", "BatchedTape", "CompiledTape", "ElementalTape",
+    "BatchTapeProgram", "BatchedTape", "ElementalTape",
     "RecordingBackend", "TapeProgram", "TapeReport", "batched_tape",
-    "compiled_tape", "record_batch_program", "record_program",
-    "BatchedCodegenProgram", "BatchedGeneratedKernel", "CodegenProgram",
+    "record_batch_program", "record_program",
+    "BatchedCodegenProgram", "BatchedGeneratedKernel",
     "ElementalCodegenProgram", "ElementalGeneratedKernel",
-    "GeneratedKernel", "batched_generated_kernel",
+    "batched_generated_kernel",
     "generate_batched_program", "generate_elemental_program",
-    "generate_program", "generated_kernel",
     "ScenarioBatch",
     "CPU_VECTOR_DIM", "GPU_VECTOR_DIM", "SpecializationError",
     "UnifiedAssembler",

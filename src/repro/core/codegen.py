@@ -6,9 +6,13 @@ dispatch round trips per sweep, which the op-level profiler attributes as
 pure dispatch overhead on short-lived ops.  This module removes that last
 interpreter layer, the Python analogue of the paper's single fused OpenACC
 kernel per variant: each recorded kernel tape is lowered to *generated
-Python source* -- one function per ``(variant, vector_dim)`` -- that is
-``exec``-compiled once and cached on the :class:`~repro.fem.plan.AssemblyPlan`
-next to the tape, so a sweep becomes a single function call per chunk.
+Python source* -- one module per ``(variant, vector_dim, scenario batch
+shape)`` -- that is ``exec``-compiled once and cached on the
+:class:`~repro.fem.plan.AssemblyPlan` next to the tape, so a sweep becomes
+a single function call per chunk.  There is one mesh-wide lowering,
+:func:`generate_batched_program`; single-scenario assembly runs its
+``S = 1`` output, which carries no parameter stage and no per-scenario
+rows.
 
 Lowering pipeline (all passes operate on the recorder's SSA op list):
 
@@ -43,8 +47,8 @@ definitions (each value is still computed by the identical ufunc over
 identical operands); hoisting replays invariant ops once instead of every
 sweep (same inputs, same bits); fusion feeds a ufunc the freshly computed
 operand array instead of a stored copy of it; ``where`` is pure selection;
-and scatter values land in the same ``(group, call, lane)`` layout flushed
-by the same shared plan pattern as the compiled tape.  Scalar literals are
+and scatter values land in the same per-scenario ``(group, call, lane)``
+layout flushed by the same shared plan pattern as the compiled tape.  Scalar literals are
 embedded via ``repr(float(x))`` -- shortest round-trip repr is exact for
 float64 -- with non-finite values spelled ``float('inf')`` etc.
 
@@ -54,12 +58,13 @@ source in every pool worker and the module-level code cache
 (:data:`_CODE_CACHE`) guarantees a cache hit never re-``exec``\\ s.
 
 Set ``REPRO_CODEGEN_DUMP=<dir>`` to dump every generated module to
-``<dir>/<variant>_vd<N>.py`` / ``<dir>/<variant>_elemental.py``.
+``<dir>/<variant>_vd<N>_S<S>.py`` / ``<dir>/<variant>_elemental.py``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import os
 import time
@@ -73,35 +78,27 @@ from ..obs.spans import NULL_TRACER, get_tracer
 from .dsl import KernelContext
 from .tape import (
     BatchRecordingBackend,
+    BoundKernel,
     RecordingBackend,
     TapeReport,
     _UFUNC_NAMES,
-    _eval_param_stage,
+    _event,
+    _infer_ranks,
     _is_scalar,
     batch_tape_cache_key,
-    tape_cache_key,
 )
 from .variants import get_variant
 
 __all__ = [
-    "DEFAULT_CHUNK_LANES",
     "MAX_FUSE_DEPTH",
     "BatchedCodegenProgram",
-    "CodegenProgram",
     "ElementalCodegenProgram",
     "BatchedGeneratedKernel",
-    "GeneratedKernel",
     "ElementalGeneratedKernel",
     "generate_batched_program",
-    "generate_program",
     "generate_elemental_program",
     "batched_generated_kernel",
-    "generated_kernel",
 ]
-
-#: default lane count per generated-kernel chunk (ufunc bandwidth sweet
-#: spot on cache-resident slabs; chunk_groups = DEFAULT_CHUNK_LANES / vd)
-DEFAULT_CHUNK_LANES = 4096
 
 #: maximum fused-subtree depth inlined into one expression
 MAX_FUSE_DEPTH = 10
@@ -581,37 +578,6 @@ def _stmt_costs(stmts: List[_Stmt]) -> Tuple[tuple, ...]:
 
 
 @dataclasses.dataclass(frozen=True)
-class CodegenProgram:
-    """A generated, picklable mesh-wide kernel module.
-
-    ``source`` defines three functions: ``setup(C, I, P, T, SV)`` (run
-    once at bind time: coordinate gathers, loop-invariant arithmetic and
-    invariant/constant scatters, at full lane width), ``factory(VC, GI,
-    P, SV, B)`` (returns a zero-argument per-chunk closure over prebound
-    chunk views) and ``factory_timed(...)`` (the profiled twin, one clock
-    read per statement).  Re-compilation in a pool worker is exact: the
-    emission is deterministic, so equal configurations produce equal
-    source strings and hit the module-level code cache.
-    """
-
-    variant: str
-    params_key: Tuple
-    vector_dim: int
-    nnode_per_element: int
-    source: str
-    scatter_calls: Tuple[Tuple[int, int], ...]
-    setup_calls: Tuple[int, ...]
-    body_calls: Tuple[int, ...]
-    gf_slots: Tuple[int, ...]
-    vc_comps: Tuple[int, ...]
-    npinned: int
-    nsetup_tmp: int
-    nslab: int
-    stmt_costs: Tuple[tuple, ...]
-    report: TapeReport
-
-
-@dataclasses.dataclass(frozen=True)
 class ElementalCodegenProgram:
     """Generated worker-side module: ``elemental(X, U, R, B)`` accumulates
     ``(n, nnode_per_element, 3)`` contributions exactly like
@@ -676,201 +642,6 @@ def _maybe_dump(filename: str, source: str) -> None:
     with open(os.path.join(outdir, filename), "w", encoding="utf-8") as fh:
         fh.write(source)
     get_registry().counter("codegen.dumps").inc()
-
-
-def generate_program(
-    variant_name: str,
-    vector_dim: int,
-    kernel_params: Optional[Dict[str, float]] = None,
-    nnode_per_element: int = 4,
-) -> CodegenProgram:
-    """Lower one variant to a mesh-wide generated source module."""
-    kernel_params = dict(kernel_params or {})
-    vd = int(vector_dim)
-    with get_tracer().span(
-        "codegen.generate", variant=variant_name.upper(), vector_dim=vd
-    ):
-        variant, recorder = _record_ssa(
-            variant_name, kernel_params, nnode_per_element
-        )
-        for op in recorder.ops:
-            if op[0] == "gf" and op[1] != "velocity":
-                raise ValueError(
-                    f"generated kernel gathers unknown field {op[1]!r}; "
-                    "the mesh-wide executor only binds 'velocity'"
-                )
-        ops = _annotate(recorder.ops)
-        live, dce_removed = _dce(ops)
-        ops, cse_removed = _cse(live)
-        inv = _invariants(ops)
-
-        setup_ops: List[tuple] = []
-        body_ops: List[tuple] = []
-        setup_calls: List[int] = []
-        body_calls: List[int] = []
-        for op in ops:
-            if op[0] == "sc":
-                src = op[4]
-                if _is_scalar(src) or src in inv:
-                    setup_ops.append(op)
-                    setup_calls.append(op[1])
-                else:
-                    body_ops.append(op)
-                    body_calls.append(op[1])
-            elif op[-1] in inv:
-                setup_ops.append(op)
-            else:
-                body_ops.append(op)
-
-        prod: Dict[int, tuple] = {
-            op[-1]: op for op in ops if op[0] != "sc"
-        }
-        # per-partition producer maps: the DFS scheduler must stop at the
-        # partition boundary (a body op reading an invariant value treats
-        # it as an external pinned input, not as something to re-emit).
-        setup_prod = {op[-1]: op for op in setup_ops if op[0] != "sc"}
-        body_prod = {op[-1]: op for op in body_ops if op[0] != "sc"}
-        pinned = sorted({
-            r
-            for op in body_ops
-            for r in _reads(op)
-            if not _is_scalar(r) and r in inv
-        })
-        pinned_set = set(pinned)
-        pin_index = {r: k for k, r in enumerate(pinned)}
-
-        setup_sched = _schedule(setup_ops, setup_prod, extra_roots=pinned)
-        body_sched = _schedule(body_ops, body_prod)
-        setup_fused = _fuse(setup_sched, exclude=pinned_set)
-        body_fused = _fuse(body_sched, exclude=set())
-        setup_stmts = _statements(setup_sched, prod, setup_fused)
-        body_stmts = _statements(body_sched, prod, body_fused)
-
-        setup_rows, nsetup_tmp = _assign_rows(
-            setup_stmts, lambda r: r in pinned_set
-        )
-        body_rows, nslab = _assign_rows(
-            body_stmts, lambda r: r in pinned_set
-        )
-
-        def setup_name(r: int) -> str:
-            if r in pinned_set:
-                return f"P[{pin_index[r]}]"
-            return f"T[{setup_rows[r]}]"
-
-        def body_name(r: int) -> str:
-            if r in pinned_set:
-                return f"p{pin_index[r]}"
-            return f"b{body_rows[r]}"
-
-        spos = {call: j for j, call in enumerate(setup_calls)}
-        bpos = {call: j for j, call in enumerate(body_calls)}
-        gf_slots = sorted({
-            op[2] for op in body_ops if op[0] == "gf"
-        })
-        gi_index = {slot: k for k, slot in enumerate(gf_slots)}
-        vc_comps = sorted({
-            op[3] for op in body_ops if op[0] == "gf"
-        })
-
-        setup_lines = [
-            _render_mesh(
-                st, prod, setup_fused, setup_name,
-                lambda c: f"SV[{spos[c]}]",
-                lambda op: (
-                    f"take(C[{op[2]}], I[{op[1]}], out={setup_name(op[3])})"
-                ),
-                vd,
-            )
-            for st in setup_stmts
-        ]
-        # Body statements route fused bin/un nodes into scratch rows
-        # (``out=t{k}``): no per-node allocation on the hot path.  The
-        # counter resets per statement, so scratch rows are shared across
-        # statements but unique within one (no sibling clobbering).
-        body_lines: List[str] = []
-        nscratch = 0
-        for st in body_stmts:
-            ctr = [0]
-            body_lines.append(_render_mesh(
-                st, prod, body_fused, body_name,
-                lambda c: f"s{bpos[c]}",
-                lambda op: (
-                    f"take(vc{op[3]}, gi{gi_index[op[2]]}, "
-                    f"out={body_name(op[4])})"
-                ),
-                vd,
-                scratch=ctr,
-            ))
-            nscratch = max(nscratch, ctr[0])
-        nrows = nslab + nscratch
-
-        prologue = (
-            [f"vc{c} = VC[{c}]" for c in vc_comps]
-            + [f"gi{k} = GI[{k}]" for k in range(len(gf_slots))]
-            + [f"p{k} = P[{k}]" for k in range(len(pinned))]
-            + [f"s{j} = SV[{j}]" for j in range(len(body_calls))]
-            + [f"b{r} = B[{r}]" for r in range(nslab)]
-            + [f"t{k} = B[{nslab + k}]" for k in range(nscratch)]
-        )
-
-        lines: List[str] = [
-            f"# generated by repro.core.codegen -- do not edit",
-            f"# variant={variant.name} vector_dim={vd} "
-            f"stmts={len(body_stmts)} slab_rows={nrows} "
-            f"(scratch={nscratch}) pinned={len(pinned)} fused="
-            f"{len(setup_fused) + len(body_fused)}",
-            "",
-            "",
-            "def setup(C, I, P, T, SV):",
-        ]
-        _emit_block(lines, setup_lines, "    ", timed=False)
-        lines += ["", "", "def factory(VC, GI, P, SV, B):"]
-        for p in prologue:
-            lines.append(f"    {p}")
-        lines.append("")
-        lines.append("    def kernel():")
-        _emit_block(lines, body_lines, "        ", timed=False)
-        lines.append("")
-        lines.append("    return kernel")
-        lines += ["", "", "def factory_timed(VC, GI, P, SV, B, clock, rec, n):"]
-        for p in prologue:
-            lines.append(f"    {p}")
-        lines.append("")
-        lines.append("    def kernel():")
-        _emit_block(lines, body_lines, "        ", timed=True)
-        lines.append("")
-        lines.append("    return kernel")
-        source = "\n".join(lines) + "\n"
-
-        report = _make_report(
-            variant.name, recorder, ops, dce_removed, cse_removed,
-            hoisted=len(setup_sched),
-            fused=len(setup_fused) + len(body_fused),
-            nslab=nrows, npinned=len(pinned),
-        )
-        program = CodegenProgram(
-            variant=variant.name,
-            params_key=tuple(sorted(kernel_params.items())),
-            vector_dim=vd,
-            nnode_per_element=nnode_per_element,
-            source=source,
-            scatter_calls=tuple(recorder.scatter_calls),
-            setup_calls=tuple(setup_calls),
-            body_calls=tuple(body_calls),
-            gf_slots=tuple(gf_slots),
-            vc_comps=tuple(vc_comps),
-            npinned=len(pinned),
-            nsetup_tmp=nsetup_tmp,
-            nslab=nrows,
-            stmt_costs=_stmt_costs(body_stmts),
-            report=report,
-        )
-    registry = get_registry()
-    registry.counter("codegen.generates").inc()
-    registry.gauge(f"codegen.slab_rows.{variant.name}").set(nrows)
-    _maybe_dump(f"{variant.name}_vd{vd}.py", source)
-    return program
 
 
 def generate_elemental_program(
@@ -1007,305 +778,6 @@ def _load(source: str, filename: str) -> Dict[str, object]:
 
 
 # ---------------------------------------------------------------------------
-# Mesh-wide executor
-# ---------------------------------------------------------------------------
-
-
-class GeneratedKernel:
-    """Executable generated module bound to one ``(plan, packing)`` pair.
-
-    Mirrors :class:`~repro.core.tape.CompiledTape`'s binding (same gather
-    index layout, same shared plan scatter pattern under the same key,
-    same group-major deferred values flush) but owns its values/velocity
-    buffers, so a coexisting compiled tape of the same configuration is
-    never mutated.  ``setup`` runs once here at full lane width; a sweep
-    then runs one prebound closure per chunk plus the serial flush.
-    """
-
-    def __init__(
-        self,
-        program: CodegenProgram,
-        plan,
-        packing,
-        perm_key=None,
-        tracer=NULL_TRACER,
-    ) -> None:
-        self.program = program
-        self.plan = plan
-        self.packing = packing
-        self.tracer = tracer
-        self.profiler = NULL_PROFILER
-        mesh = plan.mesh
-        self.nnode = int(mesh.nnode)
-        self.ncomp = 3
-        groups = packing.groups()
-        self.ngroups = len(groups)
-        self.vector_dim = int(packing.vector_dim)
-        if self.vector_dim != program.vector_dim:
-            raise ValueError(
-                f"program generated for vector_dim={program.vector_dim}, "
-                f"packing has {self.vector_dim}"
-            )
-        nlane = self.ngroups * self.vector_dim
-        self.nlane = nlane
-        nnpe = program.nnode_per_element
-
-        conn3 = np.stack([g.connectivity for g in groups])  # (G, vd, nnpe)
-        conn_all = conn3.reshape(nlane, nnpe)
-        self._idx = [
-            np.ascontiguousarray(conn_all[:, s], dtype=np.int64)
-            for s in range(nnpe)
-        ]
-        self._ccols = [
-            np.ascontiguousarray(mesh.coords[:, c]) for c in range(3)
-        ]
-        self._vcols = np.empty((3, self.nnode))
-
-        # -- shared scatter index pattern (same key/shape as the tape) ---
-        ncalls = len(program.scatter_calls)
-        self._ncalls = ncalls
-        trash = self.nnode * self.ncomp
-        signature = tuple(
-            (g, slot, comp)
-            for g in range(self.ngroups)
-            for (slot, comp) in program.scatter_calls
-        )
-        key = (program.variant, self.vector_dim, perm_key)
-        pattern = plan.scatter_pattern(key)
-        registry = get_registry()
-        if pattern is None:
-            from ..fem.plan import seed_flush_order
-
-            active3 = np.stack([g.active for g in groups])  # (G, vd)
-            indices = np.empty(
-                (self.ngroups, ncalls, self.vector_dim), dtype=np.int64
-            )
-            for c, (slot, comp) in enumerate(program.scatter_calls):
-                icol = conn3[:, :, slot] * self.ncomp + comp
-                np.copyto(indices[:, c, :], np.where(active3, icol, trash))
-            order = None
-            seed_ids = mesh.seed_element_ids
-            if seed_ids is not None:
-                lane_seed = np.concatenate(
-                    [seed_ids[g.element_ids] for g in groups]
-                )
-                order = seed_flush_order(
-                    lane_seed, active3.reshape(-1), ncalls, self.vector_dim
-                )
-            pattern = plan.store_scatter_pattern(
-                key, indices.reshape(-1), signature, order=order
-            )
-            registry.counter("scatter.pattern_builds").inc()
-        else:
-            if pattern.signature != signature:
-                raise RuntimeError(
-                    "scatter pattern mismatch: cached plan pattern does "
-                    "not match the generated kernel's call order"
-                )
-            registry.counter("scatter.pattern_reuses").inc()
-        self._pattern = pattern
-
-        # -- own deferred values buffer + pinned invariants --------------
-        self._values = np.empty((self.ngroups, ncalls, self.vector_dim))
-        self._values_flat = self._values.reshape(-1)
-        self._pinned = np.empty((max(program.npinned, 1), nlane))
-
-        ns = _load(
-            program.source,
-            f"<codegen:{program.variant}:vd{self.vector_dim}>",
-        )
-        self._factory = ns["factory"]
-        self._factory_timed = ns["factory_timed"]
-
-        # run the hoisted setup once: coordinate gathers, loop-invariant
-        # arithmetic and constant/invariant scatter rows, full lane width.
-        # The transient rows are freed immediately after.
-        T = np.empty((max(program.nsetup_tmp, 1), nlane))
-        SV = [self._values[:, c, :] for c in program.setup_calls]
-        ns["setup"](self._ccols, self._idx, self._pinned, T, SV)
-        del T
-
-        #: (chunk_groups, nslabs) -> list-per-slab of chunk closures
-        self._chunk_cache: Dict[Tuple[int, int], list] = {}
-
-    @property
-    def report(self) -> TapeReport:
-        return self.program.report
-
-    # -- chunk closures ---------------------------------------------------
-    def _resolve_cg(self, chunk_groups: Optional[int]) -> int:
-        if chunk_groups is None:
-            chunk_groups = max(1, DEFAULT_CHUNK_LANES // self.vector_dim)
-        return max(1, min(int(chunk_groups), self.ngroups))
-
-    def _build_closures(
-        self, cg: int, nslabs: int, profile=None
-    ) -> List[list]:
-        """Bind one closure per chunk; chunk ``i`` runs on slab
-        ``i % nslabs``, and each slab's chunks run sequentially in one
-        pool task, so concurrent slabs never share scratch rows."""
-        vd = self.vector_dim
-        program = self.program
-        bounds = list(range(0, self.ngroups, cg)) + [self.ngroups]
-        chunks = list(zip(bounds[:-1], bounds[1:]))
-        nslabs = max(1, min(nslabs, len(chunks)))
-        slabs = np.empty((nslabs, max(program.nslab, 1), cg * vd))
-        per_slab: List[list] = [[] for _ in range(nslabs)]
-        factory = self._factory if profile is None else self._factory_timed
-        for i, (g0, g1) in enumerate(chunks):
-            s = i % nslabs
-            lo = g0 * vd
-            n = (g1 - g0) * vd
-            GI = [self._idx[slot][lo:lo + n] for slot in program.gf_slots]
-            P = [self._pinned[k, lo:lo + n] for k in range(program.npinned)]
-            SV = [self._values[g0:g1, c, :] for c in program.body_calls]
-            B = [slabs[s, r, :n] for r in range(program.nslab)]
-            if profile is None:
-                kern = factory(self._vcols, GI, P, SV, B)
-            else:
-                kern = factory(
-                    self._vcols, GI, P, SV, B,
-                    time.perf_counter, profile.record, n,
-                )
-            per_slab[s].append(kern)
-        return per_slab
-
-    def _closures(self, cg: int, nslabs: int) -> List[list]:
-        key = (cg, nslabs)
-        per_slab = self._chunk_cache.get(key)
-        if per_slab is None:
-            per_slab = self._build_closures(cg, nslabs)
-            self._chunk_cache[key] = per_slab
-        return per_slab
-
-    # -- execution --------------------------------------------------------
-    def _check_velocity(self, velocity: np.ndarray) -> np.ndarray:
-        velocity = np.asarray(velocity, dtype=np.float64)
-        if velocity.shape != (self.nnode, 3):
-            raise ValueError(
-                f"velocity must be ({self.nnode}, 3), got {velocity.shape}"
-            )
-        return velocity
-
-    def _flush(self, rhs: np.ndarray, profile=None) -> None:
-        from ..fem.plan import flush_pattern
-
-        with self.tracer.span("scatter.flush", variant=self.program.variant):
-            t0 = time.perf_counter()
-            flush_pattern(
-                self._pattern, self._values_flat, rhs, self.nnode, self.ncomp
-            )
-            if profile is not None:
-                moved = 2.0 * self._values_flat.nbytes + rhs.nbytes
-                profile.record_flush(time.perf_counter() - t0, moved)
-
-    @staticmethod
-    def _run_slab(kerns: list) -> None:
-        for kern in kerns:
-            kern()
-
-    def execute(
-        self,
-        velocity: np.ndarray,
-        rhs: Optional[np.ndarray] = None,
-        chunk_groups: Optional[int] = None,
-    ) -> np.ndarray:
-        """Assemble the momentum RHS, accumulating into ``rhs`` in place."""
-        velocity = self._check_velocity(velocity)
-        if rhs is None:
-            rhs = np.zeros((self.nnode, self.ncomp))
-        cg = self._resolve_cg(chunk_groups)
-        with self.tracer.span(
-            "codegen.execute",
-            variant=self.program.variant,
-            vector_dim=self.vector_dim,
-            nlane=self.nlane,
-            chunk_groups=cg,
-        ):
-            np.copyto(self._vcols, velocity.T)
-            if self.profiler.enabled:
-                profile = self.profiler.for_codegen(
-                    self.program, self.vector_dim, "serial"
-                )
-                per_slab = self._build_closures(cg, 1, profile=profile)
-                self._run_slab(per_slab[0])
-                self._flush(rhs, profile)
-                profile.finish_execution()
-                nchunks = len(per_slab[0])
-            else:
-                per_slab = self._closures(cg, 1)
-                self._run_slab(per_slab[0])
-                self._flush(rhs)
-                nchunks = len(per_slab[0])
-        registry = get_registry()
-        registry.counter("codegen.executions").inc()
-        registry.counter("codegen.lanes_executed").inc(self.nlane)
-        registry.counter("codegen.chunks_executed").inc(nchunks)
-        return rhs
-
-    def execute_chunked(
-        self,
-        velocity: np.ndarray,
-        rhs: Optional[np.ndarray] = None,
-        num_threads: Optional[int] = None,
-        chunk_groups: Optional[int] = None,
-    ) -> np.ndarray:
-        """Assemble on a thread pool: one task per slab, chunks of one
-        slab running sequentially.  Scatter values land in disjoint
-        chunk slices and the flush runs serially afterwards, so the
-        result is bitwise identical to :meth:`execute` for any thread
-        count or schedule (numpy ufuncs drop the GIL, so slabs overlap).
-        """
-        from ..parallel import threads as _threads
-
-        velocity = self._check_velocity(velocity)
-        if rhs is None:
-            rhs = np.zeros((self.nnode, self.ncomp))
-        nthreads = _threads.resolve_num_threads(num_threads)
-        cg = self._resolve_cg(chunk_groups)
-        nchunks = (self.ngroups + cg - 1) // cg
-        threaded = nthreads > 1 and nchunks > 1
-        nslabs = min(nthreads, nchunks) if threaded else 1
-        with self.tracer.span(
-            "codegen.execute_chunked",
-            variant=self.program.variant,
-            vector_dim=self.vector_dim,
-            nlane=self.nlane,
-            chunks=nchunks,
-            threads=nthreads,
-            chunk_groups=cg,
-        ):
-            np.copyto(self._vcols, velocity.T)
-            profile = None
-            if self.profiler.enabled:
-                profile = self.profiler.for_codegen(
-                    self.program, self.vector_dim, "threads"
-                )
-                per_slab = self._build_closures(cg, nslabs, profile=profile)
-            else:
-                per_slab = self._closures(cg, nslabs)
-            if len(per_slab) == 1:
-                self._run_slab(per_slab[0])
-            else:
-                pool = _threads.get_thread_pool(nthreads)
-                for future in [
-                    pool.submit(self._run_slab, kerns)
-                    for kerns in per_slab
-                ]:
-                    future.result()
-            self._flush(rhs, profile)
-            if profile is not None:
-                profile.finish_execution()
-        registry = get_registry()
-        registry.counter("codegen.executions").inc()
-        registry.counter("codegen.lanes_executed").inc(self.nlane)
-        registry.counter("codegen.chunks_executed").inc(nchunks)
-        if len(per_slab) > 1:
-            registry.counter("locality.threaded_executions").inc()
-        return rhs
-
-
-# ---------------------------------------------------------------------------
 # Elemental executor (multiprocess workers)
 # ---------------------------------------------------------------------------
 
@@ -1354,59 +826,15 @@ class ElementalGeneratedKernel:
 
 
 # ---------------------------------------------------------------------------
-# Plan-level cache
-# ---------------------------------------------------------------------------
-
-
-def generated_kernel(
-    plan,
-    variant_name: str,
-    vector_dim: int,
-    permutation: Optional[np.ndarray] = None,
-    kernel_params: Optional[Dict[str, float]] = None,
-    tracer=None,
-    profiler=None,
-) -> GeneratedKernel:
-    """The plan-cached :class:`GeneratedKernel` for one configuration.
-
-    Cached next to the compiled tapes under the same
-    :func:`~repro.core.tape.tape_cache_key`; mesh reorientation
-    (``fix_orientation`` / any ``mesh._version`` bump) invalidates the
-    plan and with it every generated kernel, forcing regeneration.
-    """
-    kernel_params = dict(kernel_params or {})
-    key = tape_cache_key(variant_name, vector_dim, permutation, kernel_params)
-    kern = plan.cached_codegen(key)
-    registry = get_registry()
-    if kern is None:
-        with get_tracer().span(
-            "codegen.compile", variant=key[0], vector_dim=int(vector_dim)
-        ):
-            program = generate_program(key[0], int(vector_dim), kernel_params)
-            packing = plan.packing(int(vector_dim), permutation=permutation)
-            kern = GeneratedKernel(program, plan, packing, perm_key=key[2])
-        plan.store_codegen(key, kern)
-        registry.counter("codegen.compiles").inc()
-    else:
-        registry.counter("codegen.cache_hits").inc()
-    if tracer is not None:
-        kern.tracer = tracer
-    # Always (re)set the profiler -- generated kernels are plan-cached and
-    # shared across assemblers, like compiled tapes.
-    kern.profiler = profiler if profiler is not None else NULL_PROFILER
-    return kern
-
-
-# ---------------------------------------------------------------------------
 # Scenario-batched codegen
 # ---------------------------------------------------------------------------
 #
 # A batched recording (BatchRecordingBackend) keeps varying runtime
 # parameters symbolic as ("rp", name, out) ops, giving every SSA value a
 # rank on the lattice srow (S, 1) < {vec (lanes,), full (S, lanes)} (see
-# repro.core.tape._infer_ranks).  Lowering reuses the serial pipeline --
+# repro.core.tape._infer_ranks).  Lowering runs the shared SSA pipeline --
 # DCE, CSE, invariant hoisting, DFS scheduling, fusion -- with three
-# batch-specific twists:
+# rank-aware twists:
 #
 # * the all-srow prefix is peeled into a tiny Python-evaluated parameter
 #   stage (same lowered format as BatchTapeProgram.param_ops, evaluated
@@ -1420,33 +848,10 @@ def generated_kernel(
 #   (S, 1, 1), vec sources broadcast a (cg, vd) block over all scenarios
 #   and full sources land per scenario as (S, cg, vd).
 #
-# The hoisted setup stays *identical* to the serial emission (invariants
-# are geometry-only, hence rank-1); only the SV views handed to it are
-# (S, G, vd) so its writes broadcast across scenarios once at bind time.
-
-
-def _infer_ranks_annotated(ops: List[tuple], velocity_rank: str) -> Dict[int, str]:
-    """Rank of every annotated SSA value: ``srow`` / ``vec`` / ``full``."""
-    rank: Dict[int, str] = {}
-    for op in ops:
-        tag = op[0]
-        if tag == "sc":
-            continue
-        if tag == "rp":
-            rank[op[-1]] = "srow"
-        elif tag == "gc":
-            rank[op[-1]] = "vec"
-        elif tag == "gf":
-            rank[op[-1]] = velocity_rank
-        else:  # bin / un / sel
-            rs = {rank[r] for r in _reads(op) if not _is_scalar(r)}
-            if rs <= {"srow"}:
-                rank[op[-1]] = "srow"
-            elif rs == {"vec"}:
-                rank[op[-1]] = "vec"
-            else:
-                rank[op[-1]] = "full"
-    return rank
+# The hoisted setup is rank-1 (invariants are geometry-only); only the SV
+# views handed to it are (S, G, vd) so its writes broadcast across
+# scenarios once at bind time.  A single-scenario kernel is the S = 1
+# case: nothing varies, so there is no parameter stage and no (S, n) row.
 
 
 def _assign_rows_batch(
@@ -1459,7 +864,7 @@ def _assign_rows_batch(
     Same LIFO linear scan as :func:`_assign_rows`, with one free list per
     rank pool -- a released rank-1 row can never be handed to a full-rank
     output (the pools are disjoint slabs), so in-place ``out=`` aliasing
-    stays confined to same-shape rows exactly like the serial kernel.
+    stays confined to same-shape rows.
     """
     last: Dict[int, int] = {}
     for j, st in enumerate(stmts):
@@ -1599,9 +1004,9 @@ def _emit_block_batch(
 class BatchedCodegenProgram:
     """A generated, picklable scenario-batched kernel module.
 
-    ``source`` defines ``setup(C, I, P, T, SV)`` (byte-identical emission
-    to the serial module -- invariants are rank-1 -- writing broadcast
-    ``(S, G, vd)`` views once at bind time), ``factory(VC, GI, P, Q, SV,
+    ``source`` defines ``setup(C, I, P, T, SV)`` (rank-1 invariants,
+    writing broadcast ``(S, G, vd)`` views once at bind time),
+    ``factory(VC, GI, P, Q, SV,
     BV, BF)`` and the profiled twin ``factory_timed(..., clock, rec, n,
     ns)`` where ``n``/``ns`` are the chunk's rank-1 / full lane counts.
     ``param_ops`` is the Python-evaluated ``(S, 1)`` scenario-row stage in
@@ -1671,7 +1076,7 @@ def generate_batched_program(
         ops = _annotate(recorder.ops)
         live, dce_removed = _dce(ops)
         ops, cse_removed = _cse(live)
-        rank = _infer_ranks_annotated(ops, velocity_rank)
+        rank = _infer_ranks(ops, velocity_rank)
         inv = _invariants(ops)
 
         # -- three-way partition: param stage / setup / body -------------
@@ -1772,7 +1177,7 @@ def generate_batched_program(
         gi_index = {slot: k for k, slot in enumerate(gf_slots)}
         vc_comps = sorted({op[3] for op in body_ops if op[0] == "gf"})
 
-        # -- setup: identical emission to the serial module --------------
+        # -- setup: rank-1 geometry, shared by every scenario --------------
         setup_lines = [
             _render_mesh(
                 st, prod, setup_fused, setup_name,
@@ -1941,20 +1346,25 @@ def generate_batched_program(
     return program
 
 
-class BatchedGeneratedKernel:
+class BatchedGeneratedKernel(BoundKernel):
     """Executable batched generated module bound to one plan/packing pair.
 
-    Mirrors :class:`~repro.core.tape.BatchedTape`'s binding -- same gather
-    index layout, same *serial* scatter pattern key (the batched flush
-    tiles it per scenario via
-    :func:`~repro.fem.plan.batch_flush_indices`), same ``(S, 1)``
-    parameter rows refreshed from :attr:`param_rows` every execute -- and
-    :class:`GeneratedKernel`'s chunked closure execution: one prebound
-    zero-argument kernel per chunk, slab-striped across threads.
+    Shares :class:`~repro.core.tape.BatchedTape`'s binding
+    (:class:`~repro.core.tape.BoundKernel`: gather index layout, plan
+    scatter pattern, ``(S, 1)`` parameter rows refreshed from
+    :attr:`param_rows` every execute, one batched flush) and runs one
+    prebound zero-argument kernel per chunk, slab-striped across threads.
+    ``setup`` runs once here at full lane width.  At ``S = 1`` this is
+    the single-scenario generated kernel.
     """
 
-    #: target bytes per arena slab for the default chunk size
-    TARGET_SLAB_BYTES = 8 << 20
+    KIND = "codegen"
+
+    #: lane cap on the default chunk.  Few slab rows let the slab rule
+    #: pick ~20k-lane chunks at small S; 4096-lane chunks are measurably
+    #: faster there (the ufunc bandwidth sweet spot on cache-resident
+    #: slabs), and at S = 1 the cap is what sets the chunk.
+    MAX_CHUNK_LANES = 4096
 
     def __init__(
         self,
@@ -1964,101 +1374,8 @@ class BatchedGeneratedKernel:
         perm_key=None,
         tracer=NULL_TRACER,
     ) -> None:
-        self.program = program
-        self.plan = plan
-        self.packing = packing
-        self.tracer = tracer
-        self.profiler = NULL_PROFILER
-        self.S = program.scenarios
-        mesh = plan.mesh
-        self.nnode = int(mesh.nnode)
-        self.ncomp = 3
-        groups = packing.groups()
-        self.ngroups = len(groups)
-        self.vector_dim = int(packing.vector_dim)
-        if self.vector_dim != program.vector_dim:
-            raise ValueError(
-                f"program generated for vector_dim={program.vector_dim}, "
-                f"packing has {self.vector_dim}"
-            )
-        nlane = self.ngroups * self.vector_dim
-        self.nlane = nlane
-        nnpe = program.nnode_per_element
-
-        conn3 = np.stack([g.connectivity for g in groups])
-        conn_all = conn3.reshape(nlane, nnpe)
-        self._idx = [
-            np.ascontiguousarray(conn_all[:, s], dtype=np.int64)
-            for s in range(nnpe)
-        ]
-        self._ccols = [
-            np.ascontiguousarray(mesh.coords[:, c]) for c in range(3)
-        ]
-        if program.velocity_rank == "full":
-            self._vcols = np.empty((3, self.S, self.nnode))
-        else:
-            self._vcols = np.empty((3, self.nnode))
-
-        # -- scatter pattern: shared with the serial tape/kernel ---------
-        ncalls = len(program.scatter_calls)
-        self._ncalls = ncalls
-        signature = tuple(
-            (g, slot, comp)
-            for g in range(self.ngroups)
-            for (slot, comp) in program.scatter_calls
-        )
-        key = (program.variant, self.vector_dim, perm_key)
-        pattern = plan.scatter_pattern(key)
-        registry = get_registry()
-        if pattern is None:
-            from ..fem.plan import seed_flush_order
-
-            trash = self.nnode * self.ncomp
-            active3 = np.stack([g.active for g in groups])
-            indices = np.empty(
-                (self.ngroups, ncalls, self.vector_dim), dtype=np.int64
-            )
-            for c, (slot, comp) in enumerate(program.scatter_calls):
-                icol = conn3[:, :, slot] * self.ncomp + comp
-                np.copyto(indices[:, c, :], np.where(active3, icol, trash))
-            order = None
-            seed_ids = mesh.seed_element_ids
-            if seed_ids is not None:
-                lane_seed = np.concatenate(
-                    [seed_ids[g.element_ids] for g in groups]
-                )
-                order = seed_flush_order(
-                    lane_seed, active3.reshape(-1), ncalls, self.vector_dim
-                )
-            pattern = plan.store_scatter_pattern(
-                key, indices.reshape(-1), signature, order=order
-            )
-            registry.counter("scatter.pattern_builds").inc()
-        else:
-            if pattern.signature != signature:
-                raise RuntimeError(
-                    "scatter pattern mismatch: cached plan pattern does "
-                    "not match the batched generated kernel's call order"
-                )
-            registry.counter("scatter.pattern_reuses").inc()
-        self._pattern = pattern
-
-        # -- persistent buffers ------------------------------------------
-        from ..fem.plan import batch_flush_indices
-
-        self._batch_indices = batch_flush_indices(
-            pattern, self.S, self.nnode, self.ncomp
-        )
-        self._values = np.empty(
-            (self.S, self.ngroups, ncalls, self.vector_dim)
-        )
-        self._values2d = self._values.reshape(self.S, -1)
-        self._Q = [np.empty((self.S, 1)) for _ in range(program.nq)]
-        #: current per-scenario parameter rows (name -> (S, 1) array);
-        #: refreshed by the plan wrapper on every cache hit
-        self.param_rows: Dict[str, np.ndarray] = {}
-        self._pinned = np.empty((max(program.npinned, 1), nlane))
-
+        super().__init__(program, plan, packing, perm_key, tracer)
+        self._pinned = np.empty((max(program.npinned, 1), self.nlane))
         ns = _load(
             program.source,
             f"<codegen:{program.variant}:vd{self.vector_dim}:S{self.S}>",
@@ -2068,39 +1385,30 @@ class BatchedGeneratedKernel:
 
         # run the hoisted setup once: rank-1 geometry at full lane width,
         # writes broadcasting over the (S, G, vd) scatter-value views.
-        T = np.empty((max(program.nsetup_tmp, 1), nlane))
+        T = np.empty((max(program.nsetup_tmp, 1), self.nlane))
         SV = [self._values[:, :, c, :] for c in program.setup_calls]
         ns["setup"](self._ccols, self._idx, self._pinned, T, SV)
         del T
 
-        self._chunk_cache: Dict[Tuple[int, int], list] = {}
-
-    @property
-    def report(self) -> TapeReport:
-        return self.program.report
-
     # -- chunk closures ---------------------------------------------------
-    def _default_chunk_groups(self) -> int:
-        per_lane = 8 * (
-            self.program.nslab_vec + 1
-            + (self.program.nslab_full + 1) * self.S
-        )
-        cg = self.TARGET_SLAB_BYTES // max(per_lane * self.vector_dim, 1)
-        return max(1, min(int(cg), self.ngroups))
-
     def _resolve_cg(self, chunk_groups: Optional[int]) -> int:
         if chunk_groups is not None:
             return max(1, min(int(chunk_groups), self.ngroups))
-        return self._default_chunk_groups()
+        cg = self._default_chunk_groups(
+            self.program.nslab_vec, self.program.nslab_full
+        )
+        return max(1, min(cg, self.MAX_CHUNK_LANES // self.vector_dim))
 
     def _build_closures(
         self, cg: int, nslabs: int, profile=None
     ) -> List[list]:
+        """Bind one closure per chunk; chunk ``i`` runs on slab
+        ``i % nslabs``, and each slab's chunks run sequentially in one
+        pool task, so concurrent slabs never share scratch rows."""
         vd = self.vector_dim
         S = self.S
         program = self.program
-        bounds = list(range(0, self.ngroups, cg)) + [self.ngroups]
-        chunks = list(zip(bounds[:-1], bounds[1:]))
+        chunks = self._chunks(cg)
         nslabs = max(1, min(nslabs, len(chunks)))
         slabs_v = np.empty(
             (nslabs, max(program.nslab_vec, 1), cg * vd)
@@ -2132,157 +1440,23 @@ class BatchedGeneratedKernel:
             per_slab[s].append(kern)
         return per_slab
 
-    def _closures(self, cg: int, nslabs: int) -> List[list]:
-        key = (cg, nslabs)
-        per_slab = self._chunk_cache.get(key)
-        if per_slab is None:
-            per_slab = self._build_closures(cg, nslabs)
-            self._chunk_cache[key] = per_slab
-        return per_slab
-
     # -- execution --------------------------------------------------------
-    def _check_velocity(self, velocity: np.ndarray) -> np.ndarray:
-        velocity = np.asarray(velocity, dtype=np.float64)
-        if self.program.velocity_rank == "full":
-            want = (self.S, self.nnode, 3)
-        else:
-            want = (self.nnode, 3)
-        if velocity.shape != want:
-            raise ValueError(
-                f"velocity must be {want} for velocity_rank="
-                f"{self.program.velocity_rank!r}, got {velocity.shape}"
-            )
-        return velocity
-
-    def _refresh_inputs(self, velocity: np.ndarray) -> None:
-        if self.program.velocity_rank == "full":
-            np.copyto(self._vcols, np.moveaxis(velocity, -1, 0))
-        else:
-            np.copyto(self._vcols, velocity.T)
-        _eval_param_stage(self.program, self.param_rows, self._Q)
-
-    def _flush(self, rhs: np.ndarray, profile=None) -> None:
-        from ..fem.plan import flush_batch
-
-        with self.tracer.span(
-            "scatter.flush_batch",
-            variant=self.program.variant,
-            scenarios=self.S,
-        ):
-            t0 = time.perf_counter()
-            flush_batch(
-                self._pattern, self._batch_indices, self._values2d, rhs,
-                self.nnode, self.ncomp,
-            )
-            if profile is not None:
-                moved = 2.0 * self._values2d.nbytes + rhs.nbytes
-                profile.record_flush(time.perf_counter() - t0, moved)
-
     @staticmethod
     def _run_slab(kerns: list) -> None:
         for kern in kerns:
             kern()
 
-    def execute(
-        self,
-        velocity: np.ndarray,
-        rhs: Optional[np.ndarray] = None,
-        chunk_groups: Optional[int] = None,
-    ) -> np.ndarray:
-        """Assemble all ``S`` scenario RHS vectors: ``(S, nnode, 3)``."""
-        velocity = self._check_velocity(velocity)
-        if rhs is None:
-            rhs = np.zeros((self.S, self.nnode, self.ncomp))
-        cg = self._resolve_cg(chunk_groups)
-        with self.tracer.span(
-            "codegen.execute_batch",
-            variant=self.program.variant,
-            scenarios=self.S,
-            vector_dim=self.vector_dim,
-            nlane=self.nlane,
-            chunk_groups=cg,
-        ):
-            self._refresh_inputs(velocity)
-            if self.profiler.enabled:
-                profile = self.profiler.for_batch_codegen(
-                    self.program, self.vector_dim, "serial"
-                )
-                per_slab = self._build_closures(cg, 1, profile=profile)
-                self._run_slab(per_slab[0])
-                self._flush(rhs, profile)
-                profile.finish_execution()
-            else:
-                per_slab = self._closures(cg, 1)
-                self._run_slab(per_slab[0])
-                self._flush(rhs)
-        registry = get_registry()
-        registry.counter("codegen.batch_executions").inc()
-        registry.counter("codegen.batch_scenarios").inc(self.S)
-        registry.counter("codegen.lanes_executed").inc(self.nlane)
-        registry.counter("codegen.chunks_executed").inc(len(per_slab[0]))
-        return rhs
+    def _slab_tasks(self, cg: int, nslabs: int, profile) -> list:
+        if profile is None:
+            per_slab = self._closures(cg, nslabs)
+        else:
+            per_slab = self._build_closures(cg, nslabs, profile=profile)
+        return [functools.partial(self._run_slab, kerns) for kerns in per_slab]
 
-    def execute_chunked(
-        self,
-        velocity: np.ndarray,
-        rhs: Optional[np.ndarray] = None,
-        num_threads: Optional[int] = None,
-        chunk_groups: Optional[int] = None,
-    ) -> np.ndarray:
-        """Threaded batched assembly; bitwise identical to :meth:`execute`.
-
-        Chunks write disjoint slices of the shared values buffer and the
-        offset-``bincount`` flush runs serially afterwards, so thread
-        count and scheduling order cannot change a bit.
-        """
-        from ..parallel import threads as _threads
-
-        velocity = self._check_velocity(velocity)
-        if rhs is None:
-            rhs = np.zeros((self.S, self.nnode, self.ncomp))
-        nthreads = _threads.resolve_num_threads(num_threads)
-        cg = self._resolve_cg(chunk_groups)
-        nchunks = -(-self.ngroups // cg)
-        threaded = nthreads > 1 and nchunks > 1
-        nslabs = min(nthreads, nchunks) if threaded else 1
-        with self.tracer.span(
-            "codegen.execute_batch_chunked",
-            variant=self.program.variant,
-            scenarios=self.S,
-            vector_dim=self.vector_dim,
-            chunks=nchunks,
-            threads=nthreads,
-        ):
-            self._refresh_inputs(velocity)
-            profile = None
-            if self.profiler.enabled:
-                profile = self.profiler.for_batch_codegen(
-                    self.program, self.vector_dim,
-                    "threads" if threaded else "serial",
-                )
-                per_slab = self._build_closures(cg, nslabs, profile=profile)
-            else:
-                per_slab = self._closures(cg, nslabs)
-            if len(per_slab) == 1:
-                self._run_slab(per_slab[0])
-            else:
-                pool = _threads.get_thread_pool(nthreads)
-                for future in [
-                    pool.submit(self._run_slab, kerns)
-                    for kerns in per_slab
-                ]:
-                    future.result()
-            self._flush(rhs, profile)
-            if profile is not None:
-                profile.finish_execution()
-        registry = get_registry()
-        registry.counter("codegen.batch_executions").inc()
-        registry.counter("codegen.batch_scenarios").inc(self.S)
-        registry.counter("codegen.lanes_executed").inc(self.nlane)
-        registry.counter("codegen.chunks_executed").inc(nchunks)
-        if len(per_slab) > 1:
-            registry.counter("locality.threaded_executions").inc()
-        return rhs
+    def _profile(self, executor: str):
+        return self.profiler.for_batch_codegen(
+            self.program, self.vector_dim, executor
+        )
 
 
 def batched_generated_kernel(
@@ -2301,7 +1475,9 @@ def batched_generated_kernel(
     size, permutation, batch shape/constants/flags, velocity rank) but in
     the plan's codegen store.  The varying parameter *values* live
     outside the kernel: they are refreshed from ``batch`` on every call,
-    so sweeping a campaign over new values re-generates nothing.
+    so sweeping a campaign over new values re-generates nothing.  A
+    one-scenario batch is the single-scenario generated kernel; mesh
+    reorientation invalidates the plan and every kernel bound to it.
     """
     key = batch_tape_cache_key(
         variant_name, vector_dim, permutation, batch, velocity_rank
@@ -2323,9 +1499,9 @@ def batched_generated_kernel(
                 program, plan, packing, perm_key=key[2]
             )
         plan.store_codegen(key, kern)
-        registry.counter("codegen.batch_compiles").inc()
+        registry.counter(_event("codegen", "compiles", batch.size)).inc()
     else:
-        registry.counter("codegen.batch_cache_hits").inc()
+        registry.counter(_event("codegen", "cache_hits", batch.size)).inc()
     kern.param_rows = batch.param_rows()
     if tracer is not None:
         kern.tracer = tracer

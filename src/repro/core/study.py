@@ -298,7 +298,7 @@ class OptimizationStudy:
         asm = self._profiled_assembler()
         asm.assemble(variant, self.velocity)
         vector_dim = asm.resolve_vector_dim(variant)
-        key = (variant, int(vector_dim), asm.mode, asm.executor)
+        key = (variant, int(vector_dim), asm.mode, asm.executor, 1)
         prof = self.profiler.profiles[key]
         fields: Dict[str, object] = {
             "profiled_seconds": prof.total_seconds,
@@ -326,7 +326,9 @@ class OptimizationStudy:
         for v in names:
             asm.assemble(v, self.velocity)
             vd = asm.resolve_vector_dim(v)
-            out[v] = self.profiler.profiles[(v, int(vd), asm.mode, asm.executor)]
+            out[v] = self.profiler.profiles[
+                (v, int(vd), asm.mode, asm.executor, 1)
+            ]
         return out
 
     def roofline_attribution(

@@ -12,22 +12,27 @@ the Python analogue of P:
   the kernels are straight-line code whose control flow depends only on
   runtime *flags* (baked into the tape) and never on lane data, a single
   recording is valid for every element group of every assembly.
-* :func:`compile_tape` dead-code-eliminates the tape backwards from its
-  scatter calls, runs a linear-scan liveness analysis and assigns every
-  surviving intermediate to a small pool of preallocated lane-width
-  buffers -- the numpy analog of registers.  The resulting
-  :class:`TapeReport` reports "buffers live" the way
-  :class:`~repro.core.dsl.TracingBackend` reports register pressure.
-* :class:`CompiledTape` replays the tape over **all element groups at
-  once** (lanes stacked) with in-place ``out=`` ufunc calls into the
-  arena, and ends with the same single-``bincount`` flush the deferred
-  :class:`~repro.fem.plan.ScatterAccumulator` uses.  Steady-state
-  time-stepping therefore does zero Python-level array allocation in the
-  momentum RHS.
+  :class:`BatchRecordingBackend` keeps the parameters that vary across a
+  scenario batch symbolic instead of folding them.
+* :func:`compile_batch_tape` dead-code-eliminates the tape backwards from
+  its scatter calls, splits off the per-scenario parameter stage, runs a
+  linear-scan liveness analysis and assigns every surviving intermediate
+  to a small pool of preallocated lane-width buffers -- the numpy analog
+  of registers.  The resulting :class:`TapeReport` reports "buffers
+  live" the way :class:`~repro.core.dsl.TracingBackend` reports register
+  pressure.
+* :class:`BatchedTape` replays the tape for ``S`` scenarios over **all
+  element groups** (lanes stacked, cache-sized chunks) with in-place
+  ``out=`` ufunc calls into the arena, and ends with one ``bincount``
+  flush in the order the deferred
+  :class:`~repro.fem.plan.ScatterAccumulator` uses.  Single-scenario
+  assembly is the ``S = 1`` batch: one kernel shape, like the paper's
+  one vectorized code base whose CPU and GPU builds differ only in the
+  length of the vector axis.
 * :class:`ElementalTape` is the picklable flavour the multiprocess runner
-  ships to workers: the same compiled program, executed against packed
-  per-element coordinate/velocity arrays, producing ``(n, 4, 3)``
-  elemental contributions.
+  ships to workers: a :func:`compile_tape` program executed against
+  packed per-element coordinate/velocity arrays, producing
+  ``(n, 4, 3)`` elemental contributions.
 
 Bit-identity contract
 ---------------------
@@ -41,24 +46,27 @@ interpreted ``NumpyBackend`` path.  This holds because
   ``NumpyBackend`` would have used (``np.float64`` throughout);
 * gathers and ``select_gt`` are pure selection (no arithmetic), so CSE
   and predicated replay preserve bits; and
-* scatter values are laid out ``(ngroups, ncalls, nlane)`` so that their
-  C-order flattening reproduces the accumulator's group-major temporal
-  order -- the same ``bincount`` input order, hence the same rounding.
+* scatter values are laid out ``(S, ngroups, ncalls, nlane)`` so that
+  each scenario's C-order flattening reproduces the accumulator's
+  group-major temporal order -- the same ``bincount`` input order, hence
+  the same rounding.
 
 Tapes are cached on the :class:`~repro.fem.plan.AssemblyPlan` keyed by
-``(variant, vector_dim, permutation, params)``; plans themselves are
-invalidated on mesh reorientation, so a tape can never outlive the mesh
-version it was recorded against.
+``(variant, vector_dim, permutation, batch shape and constants)``; plans
+themselves are invalidated on mesh reorientation, so a tape can never
+outlive the mesh version it was recorded against.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import time
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from ..fem.plan import batch_flush_indices, flush_batch, seed_flush_order
 from ..obs.metrics import get_registry
 from ..obs.profiler import NULL_PROFILER
 from ..obs.spans import NULL_TRACER, get_tracer
@@ -72,14 +80,12 @@ __all__ = [
     "TapeReport",
     "TapeProgram",
     "BatchTapeProgram",
-    "CompiledTape",
+    "BoundKernel",
     "BatchedTape",
     "ElementalTape",
     "record_program",
     "record_batch_program",
-    "compiled_tape",
     "batched_tape",
-    "tape_cache_key",
     "batch_tape_cache_key",
 ]
 
@@ -105,7 +111,8 @@ def _ufunc(name: str):
 
 
 def _is_scalar(ref) -> bool:
-    return not isinstance(ref, (int, np.integer)) or isinstance(ref, bool)
+    """Folded ``np.float64`` scalar (vector refs are plain ``int`` ids)."""
+    return type(ref) is not int
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +333,7 @@ class TapeReport:
     hoisted_ops: int = 0
     fused_ops: int = 0
     pinned_buffers: int = 0
-    # batched-tape statistics (zero / 1 for serial tapes): ops evaluated
+    # batched-tape statistics (zero / 1 for worker tapes): ops evaluated
     # once per batch in the (S, 1) scenario-row stage, rank-1 lane ops
     # shared by all scenarios, full-rank (S, lanes) ops, and the batch
     # size.  vec_ops / full_ops is the work-retention ratio that carries
@@ -571,396 +578,6 @@ def record_program(
     registry.gauge(f"tape.buffers_live.{variant.name}").set(program.nbufs)
     return program
 
-
-# ---------------------------------------------------------------------------
-# Stacked whole-mesh executor
-# ---------------------------------------------------------------------------
-
-
-class CompiledTape:
-    """Executable tape bound to one ``(plan, packing)`` pair.
-
-    All element groups are stacked into one ``L = ngroups * vector_dim``
-    lane axis; each tape op is a single ufunc call over the whole mesh.
-    Scatter values land in a preallocated ``(ngroups, ncalls, vector_dim)``
-    buffer whose C-order flattening reproduces the per-group temporal
-    order of the interpreted :class:`~repro.fem.plan.ScatterAccumulator`,
-    so the final ``bincount`` flush is bit-identical to it (and hence to
-    the seed ``np.add.at`` path).
-
-    The scatter index pattern is shared with the accumulator through
-    ``plan`` under the same ``(variant, vector_dim, permutation)`` key;
-    an interpreted sweep and a compiled sweep of the same configuration
-    therefore build the pattern once between them.
-    """
-
-    def __init__(
-        self,
-        program: TapeProgram,
-        plan,
-        packing,
-        perm_key=None,
-        tracer=NULL_TRACER,
-    ):
-        self.program = program
-        self.plan = plan
-        self.packing = packing
-        self.tracer = tracer
-        self.profiler = NULL_PROFILER
-        mesh = plan.mesh
-        self.nnode = int(mesh.nnode)
-        self.ncomp = 3
-        groups = packing.groups()
-        self.ngroups = len(groups)
-        self.vector_dim = int(packing.vector_dim)
-        nlane = self.ngroups * self.vector_dim
-        self.nlane = nlane
-        nnpe = program.nnode_per_element
-
-        conn3 = np.stack([g.connectivity for g in groups])  # (G, vd, nnpe)
-        conn_all = conn3.reshape(nlane, nnpe)
-        self._idx = [
-            np.ascontiguousarray(conn_all[:, s], dtype=np.int64)
-            for s in range(nnpe)
-        ]
-        self._ccols = [
-            np.ascontiguousarray(mesh.coords[:, c]) for c in range(3)
-        ]
-        # velocity columns are refreshed (copied, not reallocated) per call
-        self._vcols = np.empty((3, self.nnode))
-
-        # -- shared scatter index pattern --------------------------------
-        ncalls = len(program.scatter_calls)
-        self._ncalls = ncalls
-        trash = self.nnode * self.ncomp
-        signature = tuple(
-            (g, slot, comp)
-            for g in range(self.ngroups)
-            for (slot, comp) in program.scatter_calls
-        )
-        for op in program.ops:
-            if op[0] == 4 and op[1] != "velocity":
-                raise ValueError(
-                    f"compiled tape gathers unknown field {op[1]!r}; the "
-                    "stacked executor only binds 'velocity'"
-                )
-        key = (program.variant, self.vector_dim, perm_key)
-        pattern = plan.scatter_pattern(key)
-        registry = get_registry()
-        if pattern is None:
-            from ..fem.plan import seed_flush_order
-
-            active3 = np.stack([g.active for g in groups])  # (G, vd)
-            indices = np.empty(
-                (self.ngroups, ncalls, self.vector_dim), dtype=np.int64
-            )
-            for c, (slot, comp) in enumerate(program.scatter_calls):
-                icol = conn3[:, :, slot] * self.ncomp + comp
-                np.copyto(indices[:, c, :], np.where(active3, icol, trash))
-            order = None
-            seed_ids = mesh.seed_element_ids
-            if seed_ids is not None:
-                lane_seed = np.concatenate(
-                    [seed_ids[g.element_ids] for g in groups]
-                )
-                order = seed_flush_order(
-                    lane_seed, active3.reshape(-1), ncalls, self.vector_dim
-                )
-            pattern = plan.store_scatter_pattern(
-                key, indices.reshape(-1), signature, order=order
-            )
-            registry.counter("scatter.pattern_builds").inc()
-        else:
-            if pattern.signature != signature:
-                raise RuntimeError(
-                    "scatter pattern mismatch: cached plan pattern does not "
-                    "match the compiled tape's call order"
-                )
-            registry.counter("scatter.pattern_reuses").inc()
-        self._pattern = pattern
-
-        # -- preallocated arena ------------------------------------------
-        self._arena = np.empty((max(program.nbufs, 1), nlane))
-        self._mask = np.empty(nlane, dtype=bool)
-        self._values = np.empty((self.ngroups, ncalls, self.vector_dim))
-        self._values_flat = self._values.reshape(-1)
-        self._ufuncs = {name: _ufunc(name) for name in _UFUNC_NAMES.values()}
-
-    @property
-    def report(self) -> TapeReport:
-        return self.program.report
-
-    def _execute_ops_slice(
-        self, g0: int, g1: int, arena: np.ndarray, mask: np.ndarray
-    ) -> None:
-        """Replay the tape over groups ``[g0, g1)`` into ``arena``.
-
-        Scatter values land in the chunk's rows of the shared
-        ``self._values`` buffer -- disjoint slices per chunk, so
-        concurrent chunk executions never write the same memory.  All
-        other shared state (gather indices, coordinate/velocity columns)
-        is read-only during a sweep, which is what makes the threaded
-        executor race-free.
-        """
-        vd = self.vector_dim
-        lo = g0 * vd
-        n = (g1 - g0) * vd
-        nrows = g1 - g0
-        lanes = slice(lo, lo + n)
-        A = arena if arena.shape[1] == n else arena[:, :n]
-        m = mask if mask.shape[0] == n else mask[:n]
-        values = self._values
-        ufuncs = self._ufuncs
-        ccols = self._ccols
-        vcols = self._vcols
-        idx = self._idx
-        for op in self.program.ops:
-            code = op[0]
-            if code == 0:
-                _, uf, a, b, out = op
-                ufuncs[uf](
-                    a if _is_scalar(a) else A[a],
-                    b if _is_scalar(b) else A[b],
-                    out=A[out],
-                )
-            elif code == 1:
-                _, uf, a, out = op
-                ufuncs[uf](a if _is_scalar(a) else A[a], out=A[out])
-            elif code == 2:
-                _, x, a, b, thresh, out = op
-                # mask first (x-aliasing safe), then b, then a-over-mask
-                np.greater(A[x], thresh, out=m)
-                dst = A[out]
-                if _is_scalar(b):
-                    dst[...] = b
-                else:
-                    dst[...] = A[b]
-                np.copyto(dst, a if _is_scalar(a) else A[a], where=m)
-            elif code == 3:
-                _, slot, comp, out = op
-                np.take(ccols[comp], idx[slot][lanes], out=A[out])
-            elif code == 4:
-                _, field, slot, comp, out = op
-                np.take(vcols[comp], idx[slot][lanes], out=A[out])
-            else:  # code == 5: deferred scatter into the values buffer
-                _, call, slot, comp, src = op
-                dst = values[g0:g1, call, :]
-                if _is_scalar(src):
-                    dst[...] = src
-                else:
-                    np.copyto(dst, A[src].reshape(nrows, vd))
-
-    def _execute_ops_slice_timed(
-        self, g0: int, g1: int, arena: np.ndarray, mask: np.ndarray, profile
-    ) -> None:
-        """Profiled twin of :meth:`_execute_ops_slice`.
-
-        Issues the *identical* op stream into the identical buffers (so
-        the result stays bitwise equal to the unprofiled replay) with one
-        ``perf_counter`` read around each op, recorded into ``profile``.
-        Kept as a separate loop so the unprofiled hot path carries no
-        per-op branch or callable indirection -- the overhead-guard
-        microbenchmark pins that property.
-        """
-        vd = self.vector_dim
-        lo = g0 * vd
-        n = (g1 - g0) * vd
-        nrows = g1 - g0
-        lanes = slice(lo, lo + n)
-        A = arena if arena.shape[1] == n else arena[:, :n]
-        m = mask if mask.shape[0] == n else mask[:n]
-        values = self._values
-        ufuncs = self._ufuncs
-        ccols = self._ccols
-        vcols = self._vcols
-        idx = self._idx
-        clock = time.perf_counter
-        for i, op in enumerate(self.program.ops):
-            code = op[0]
-            t0 = clock()
-            if code == 0:
-                _, uf, a, b, out = op
-                ufuncs[uf](
-                    a if _is_scalar(a) else A[a],
-                    b if _is_scalar(b) else A[b],
-                    out=A[out],
-                )
-            elif code == 1:
-                _, uf, a, out = op
-                ufuncs[uf](a if _is_scalar(a) else A[a], out=A[out])
-            elif code == 2:
-                _, x, a, b, thresh, out = op
-                np.greater(A[x], thresh, out=m)
-                dst = A[out]
-                if _is_scalar(b):
-                    dst[...] = b
-                else:
-                    dst[...] = A[b]
-                np.copyto(dst, a if _is_scalar(a) else A[a], where=m)
-            elif code == 3:
-                _, slot, comp, out = op
-                np.take(ccols[comp], idx[slot][lanes], out=A[out])
-            elif code == 4:
-                _, field, slot, comp, out = op
-                np.take(vcols[comp], idx[slot][lanes], out=A[out])
-            else:
-                _, call, slot, comp, src = op
-                dst = values[g0:g1, call, :]
-                if _is_scalar(src):
-                    dst[...] = src
-                else:
-                    np.copyto(dst, A[src].reshape(nrows, vd))
-            profile.record(i, clock() - t0, n)
-
-    def _flush(self, rhs: np.ndarray, profile=None) -> None:
-        from ..fem.plan import flush_pattern
-
-        with self.tracer.span("scatter.flush", variant=self.program.variant):
-            t0 = time.perf_counter()
-            flush_pattern(
-                self._pattern, self._values_flat, rhs, self.nnode, self.ncomp
-            )
-            if profile is not None:
-                # values read + int64 index read + rhs accumulate traffic
-                moved = 2.0 * self._values_flat.nbytes + rhs.nbytes
-                profile.record_flush(time.perf_counter() - t0, moved)
-
-    def _check_velocity(self, velocity: np.ndarray) -> np.ndarray:
-        velocity = np.asarray(velocity, dtype=np.float64)
-        if velocity.shape != (self.nnode, 3):
-            raise ValueError(
-                f"velocity must be ({self.nnode}, 3), got {velocity.shape}"
-            )
-        return velocity
-
-    def execute(
-        self, velocity: np.ndarray, rhs: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Assemble the momentum RHS, accumulating into ``rhs`` in place."""
-        velocity = self._check_velocity(velocity)
-        if rhs is None:
-            rhs = np.zeros((self.nnode, self.ncomp))
-        with self.tracer.span(
-            "tape.execute",
-            variant=self.program.variant,
-            vector_dim=self.vector_dim,
-            nlane=self.nlane,
-        ):
-            np.copyto(self._vcols, velocity.T)
-            if self.profiler.enabled:
-                profile = self.profiler.for_program(
-                    self.program, self.vector_dim, "serial"
-                )
-                self._execute_ops_slice_timed(
-                    0, self.ngroups, self._arena, self._mask, profile
-                )
-                self._flush(rhs, profile)
-                profile.finish_execution()
-            else:
-                self._execute_ops_slice(0, self.ngroups, self._arena, self._mask)
-                self._flush(rhs)
-        registry = get_registry()
-        registry.counter("tape.executions").inc()
-        registry.counter("tape.lanes_executed").inc(self.nlane)
-        return rhs
-
-    def _run_chunk(self, g0: int, g1: int, slabs, profile=None) -> None:
-        arena, mask = slabs.acquire()
-        try:
-            if profile is None:
-                self._execute_ops_slice(g0, g1, arena, mask)
-            else:
-                self._execute_ops_slice_timed(g0, g1, arena, mask, profile)
-        finally:
-            slabs.release(arena, mask)
-
-    def execute_chunked(
-        self,
-        velocity: np.ndarray,
-        rhs: Optional[np.ndarray] = None,
-        num_threads: Optional[int] = None,
-        chunk_groups: Optional[int] = None,
-    ) -> np.ndarray:
-        """Assemble via cache-sized group chunks on a thread pool.
-
-        The lane axis is split into chunks of ``chunk_groups`` element
-        groups; each chunk replays the tape into a per-thread arena slab
-        (numpy ufuncs drop the GIL, so chunks genuinely overlap) and
-        writes its scatter values into a disjoint slice of the shared
-        values buffer.  The final ``bincount`` flush runs serially on the
-        full buffer afterwards, so the result is **bitwise identical** to
-        :meth:`execute` regardless of thread count or scheduling order.
-
-        ``chunk_groups`` resolves explicit argument > the plan's autotuned
-        winner (:func:`repro.core.autotune.autotune_chunk_groups`) > a
-        cache-footprint heuristic; ``num_threads`` defaults to the CPU
-        count.
-        """
-        from ..parallel import threads as _threads
-
-        velocity = self._check_velocity(velocity)
-        if rhs is None:
-            rhs = np.zeros((self.nnode, self.ncomp))
-        nthreads = _threads.resolve_num_threads(num_threads)
-        cg = chunk_groups
-        if cg is None:
-            cg = self.plan.tuned_chunk_groups(self.program.variant)
-        if cg is None:
-            cg = _threads.default_chunk_groups(
-                self.program.nbufs, self.vector_dim, self.ngroups, nthreads
-            )
-        cg = max(1, min(int(cg), self.ngroups))
-        bounds = list(range(0, self.ngroups, cg)) + [self.ngroups]
-        chunks = list(zip(bounds[:-1], bounds[1:]))
-        with self.tracer.span(
-            "tape.execute_chunked",
-            variant=self.program.variant,
-            vector_dim=self.vector_dim,
-            nlane=self.nlane,
-            chunks=len(chunks),
-            threads=nthreads,
-            chunk_groups=cg,
-        ):
-            np.copyto(self._vcols, velocity.T)
-            profile = None
-            if self.profiler.enabled:
-                profile = self.profiler.for_program(
-                    self.program, self.vector_dim, "threads"
-                )
-            threaded = nthreads > 1 and len(chunks) > 1
-            if not threaded:
-                if profile is None:
-                    for g0, g1 in chunks:
-                        self._execute_ops_slice(g0, g1, self._arena, self._mask)
-                else:
-                    for g0, g1 in chunks:
-                        self._execute_ops_slice_timed(
-                            g0, g1, self._arena, self._mask, profile
-                        )
-            else:
-                slabs = _threads.SlabPool(
-                    max(self.program.nbufs, 1),
-                    cg * self.vector_dim,
-                    min(nthreads, len(chunks)),
-                )
-                pool = _threads.get_thread_pool(nthreads)
-                for future in [
-                    pool.submit(self._run_chunk, g0, g1, slabs, profile)
-                    for g0, g1 in chunks
-                ]:
-                    future.result()
-            self._flush(rhs, profile)
-            if profile is not None:
-                profile.finish_execution()
-        registry = get_registry()
-        registry.counter("tape.executions").inc()
-        registry.counter("tape.lanes_executed").inc(self.nlane)
-        registry.counter("locality.chunks_executed").inc(len(chunks))
-        if threaded:
-            registry.counter("locality.threaded_executions").inc()
-        return rhs
-
-
 # ---------------------------------------------------------------------------
 # Elemental executor (multiprocess workers)
 # ---------------------------------------------------------------------------
@@ -1077,35 +694,46 @@ class ElementalTape:
 # Scenario-batched compilation and execution
 # ---------------------------------------------------------------------------
 
-#: rank lattice of a batched tape value.  ``srow`` is a per-scenario
-#: ``(S, 1)`` parameter row, ``vec`` a rank-1 ``(lanes,)`` vector shared
-#: by all scenarios, ``full`` a per-scenario ``(S, lanes)`` matrix.
-#: ``join(vec, srow) = full``; scalars are rank-neutral.
-_RANKS = ("srow", "vec", "full")
+#: rank lattice of a batched tape value, as bit masks so a join is an
+#: ``or``: ``srow`` is a per-scenario ``(S, 1)`` parameter row, ``vec`` a
+#: rank-1 ``(lanes,)`` vector shared by all scenarios, ``full`` a
+#: per-scenario ``(S, lanes)`` matrix.  ``join(vec, srow) = full``;
+#: scalars are rank-neutral.
+_SROW, _VEC, _FULL = 1, 2, 4
+_RANK_NAME = {1: "srow", 2: "vec", 3: "full", 4: "full", 5: "full",
+              6: "full", 7: "full"}
+
+#: operand positions of each op form (annotated scatters carry their
+#: call index, so their source sits one slot later)
+_INPUTS = {"bin": (2, 3), "un": (2,), "sel": (1, 2, 3), "sc": (3,),
+           "gc": (), "gf": (), "rp": ()}
 
 
 def _infer_ranks(ops, velocity_rank: str) -> Dict[int, str]:
-    """Rank of every SSA value: srow / vec / full."""
-    rank: Dict[int, str] = {}
+    """Rank of every SSA value: ``srow`` / ``vec`` / ``full``.
+
+    Accepts recorded and annotated op lists (scatters define no value).
+    """
+    vel = _VEC if velocity_rank == "vec" else _FULL
+    mask: Dict[int, int] = {}
     for op in ops:
         tag = op[0]
-        if tag == "rp":
-            rank[op[2]] = "srow"
-        elif tag == "gc":
-            rank[op[3]] = "vec"
+        if tag == "sc":
+            continue
+        if tag == "gc":
+            m = _VEC
         elif tag == "gf":
-            rank[op[4]] = velocity_rank
-        elif tag in ("bin", "un", "sel"):
-            rs = {
-                rank[r] for r in _op_inputs(op) if not _is_scalar(r)
-            }
-            if rs <= {"srow"}:
-                rank[op[-1]] = "srow"
-            elif rs == {"vec"}:
-                rank[op[-1]] = "vec"
-            else:
-                rank[op[-1]] = "full"
-    return rank
+            m = vel
+        elif tag == "rp":
+            m = _SROW
+        else:
+            m = 0
+            for k in _INPUTS[tag]:
+                r = op[k]
+                if type(r) is int:
+                    m |= mask[r]
+        mask[op[-1]] = m
+    return {ref: _RANK_NAME[m] for ref, m in mask.items()}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -1190,25 +818,32 @@ def compile_batch_tape(
     scenarios: int,
     velocity_rank: str = "vec",
 ) -> BatchTapeProgram:
-    """Lower a batch-recorded tape: rank split, DCE, two-pool liveness."""
+    """Lower a batch-recorded tape: DCE, rank split, two-pool liveness.
+
+    Vector refs are plain ``int`` SSA ids and folded scalars are
+    ``np.float64``, so ``type(r) is int`` is the whole vector test in the
+    passes below (they run on every cold kernel, so they stay tight).
+    """
     if velocity_rank not in ("vec", "full"):
         raise ValueError(
             f"velocity_rank must be 'vec' or 'full', got {velocity_rank!r}"
         )
     ops = recorder.ops
-    rank = _infer_ranks(ops, velocity_rank)
+    inputs = _INPUTS
 
     # -- DCE backwards from the scatter roots (rp has no inputs) ---------
     needed: set = set()
-    keep = [False] * len(ops)
-    for i in range(len(ops) - 1, -1, -1):
-        op = ops[i]
-        if op[0] == "sc" or (not _is_scalar(op[-1]) and op[-1] in needed):
-            keep[i] = True
-            for ref in _op_inputs(op):
-                if not _is_scalar(ref):
-                    needed.add(ref)
-    live_ops = [op for op, k in zip(ops, keep) if k]
+    live_rev: List[tuple] = []
+    for op in reversed(ops):
+        tag = op[0]
+        if tag == "sc" or op[-1] in needed:
+            live_rev.append(op)
+            for k in inputs[tag]:
+                r = op[k]
+                if type(r) is int:
+                    needed.add(r)
+    live_ops = live_rev[::-1]
+    rank = _infer_ranks(live_ops, velocity_rank)
 
     # -- split off the (S, 1) scenario-row stage -------------------------
     # srow ops are closed under their inputs (scalar/srow only), so the
@@ -1217,121 +852,105 @@ def compile_batch_tape(
     q_of: Dict[int, int] = {}
     param_ops: List[tuple] = []
     body: List[tuple] = []
+
+    def qref(r):
+        return q_of[r] if type(r) is int else r
+
     for op in live_ops:
         tag = op[0]
-        is_param = tag == "rp" or (
-            tag in ("bin", "un", "sel") and rank[op[-1]] == "srow"
-        )
-        if is_param:
-            out = op[-1]
-            q_of[out] = len(q_of)
-
-            def qref(r):
-                return r if _is_scalar(r) else q_of[r]
-
-            if tag == "rp":
-                param_ops.append(("rp", op[1], q_of[out]))
-            elif tag == "bin":
-                param_ops.append(
-                    ("bin", _UFUNC_NAMES[op[1]], qref(op[2]), qref(op[3]),
-                     q_of[out])
-                )
-            elif tag == "un":
-                param_ops.append(
-                    ("un", _UFUNC_NAMES[op[1]], qref(op[2]), q_of[out])
-                )
-            else:
-                param_ops.append(
-                    ("sel", qref(op[1]), qref(op[2]), qref(op[3]), op[4],
-                     q_of[out])
-                )
-        else:
+        if tag == "sc" or rank[op[-1]] != "srow":
             body.append(op)
+            continue
+        out = q_of[op[-1]] = len(q_of)
+        if tag == "rp":
+            param_ops.append(("rp", op[1], out))
+        elif tag == "bin":
+            param_ops.append(
+                ("bin", _UFUNC_NAMES[op[1]], qref(op[2]), qref(op[3]), out)
+            )
+        elif tag == "un":
+            param_ops.append(("un", _UFUNC_NAMES[op[1]], qref(op[2]), out))
+        else:
+            param_ops.append(
+                ("sel", qref(op[1]), qref(op[2]), qref(op[3]), op[4], out)
+            )
 
     # -- liveness over the body (srow refs are external, never freed) ----
     last_use: Dict[int, int] = {}
     for j, op in enumerate(body):
-        for ref in _op_inputs(op):
-            if not _is_scalar(ref) and ref not in q_of:
-                last_use[ref] = j
+        for k in inputs[op[0]]:
+            r = op[k]
+            if type(r) is int:
+                last_use[r] = j
 
-    buf_of: Dict[int, int] = {}
+    # -- two-pool linear-scan allocation, lowered in the same pass --------
+    # Dying inputs release their buffer *before* the output is allocated,
+    # so in-place ``out=`` aliasing happens naturally -- safe for every
+    # elementwise ufunc.  The one exception is the select op: its
+    # executor overwrites ``out`` with branch ``b`` before reading branch
+    # ``a`` (mask-first order makes ``x``- and ``b``-aliasing safe), so
+    # ``a``'s buffer is protected until after the output is placed.
+    tagged: Dict[int, tuple] = {r: ("q", q) for r, q in q_of.items()}
     free = {"vec": [], "full": []}
     nbufs = {"vec": 0, "full": 0}
-    for j, op in enumerate(body):
-        protected = None
-        if op[0] == "sel" and not _is_scalar(op[2]) and op[2] not in q_of:
-            protected = op[2]
-        deferred = None
-        for ref in set(_op_inputs(op)):
-            if (
-                _is_scalar(ref)
-                or ref in q_of
-                or last_use.get(ref) != j
-            ):
-                continue
-            if ref == protected:
-                deferred = ref
-            else:
-                free[rank[ref]].append(buf_of[ref])
-        if op[0] != "sc":
-            out = op[-1]
-            pool = rank[out]
-            if free[pool]:
-                buf_of[out] = free[pool].pop()
-            else:
-                buf_of[out] = nbufs[pool]
-                nbufs[pool] += 1
-        if deferred is not None:
-            free[rank[deferred]].append(buf_of[deferred])
-
-    # -- lower body ops with tagged operands ------------------------------
-    def ref_of(r: Ref):
-        if _is_scalar(r):
-            return r
-        if r in q_of:
-            return ("q", q_of[r])
-        return ("f" if rank[r] == "full" else "v", buf_of[r])
-
     lowered: List[tuple] = []
     call = 0
-    nfull = 0
-    for op in body:
+    nvec = nfull = 0
+
+    def ref_of(r):
+        return tagged[r] if type(r) is int else r
+
+    for j, op in enumerate(body):
         tag = op[0]
+        # lower the operands before any release/allocation below
         if tag == "bin":
-            lowered.append(
-                ("bin", _UFUNC_NAMES[op[1]], ref_of(op[2]), ref_of(op[3]),
-                 ref_of(op[4]))
-            )
+            new = ["bin", _UFUNC_NAMES[op[1]], ref_of(op[2]), ref_of(op[3])]
         elif tag == "un":
-            lowered.append(
-                ("un", _UFUNC_NAMES[op[1]], ref_of(op[2]), ref_of(op[3]))
-            )
+            new = ["un", _UFUNC_NAMES[op[1]], ref_of(op[2])]
         elif tag == "sel":
-            lowered.append(
-                ("sel", ref_of(op[1]), ref_of(op[2]), ref_of(op[3]), op[4],
-                 ref_of(op[5]))
-            )
+            new = ["sel", ref_of(op[1]), ref_of(op[2]), ref_of(op[3]), op[4]]
         elif tag == "gc":
-            lowered.append(("gc", op[1], op[2], ref_of(op[3])))
+            new = ["gc", op[1], op[2]]
         elif tag == "gf":
             if op[1] != "velocity":
                 raise ValueError(
                     f"batched tape gathers unknown field {op[1]!r}; the "
                     "batched executor only binds 'velocity'"
                 )
-            lowered.append(("gf", op[2], op[3], ref_of(op[4])))
-        elif tag == "sc":
+            new = ["gf", op[2], op[3]]
+        else:  # sc
             lowered.append(("sc", call, op[1], op[2], ref_of(op[3])))
             call += 1
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"unexpected body op {tag!r}")
-        if tag != "sc" and rank.get(op[-1]) == "full":
-            nfull += 1
+        protected = op[2] if tag == "sel" else None
+        deferred = None
+        dying = {op[k] for k in inputs[tag]}
+        for r in dying:
+            if type(r) is not int or r in q_of or last_use[r] != j:
+                continue
+            if r == protected:
+                deferred = r
+            else:
+                t = tagged[r]
+                free["full" if t[0] == "f" else "vec"].append(t[1])
+        if tag != "sc":
+            out = op[-1]
+            pool = rank[out]
+            if free[pool]:
+                row = free[pool].pop()
+            else:
+                row = nbufs[pool]
+                nbufs[pool] += 1
+            t = tagged[out] = ("f" if pool == "full" else "v", row)
+            new.append(t)
+            lowered.append(tuple(new))
+            if pool == "full":
+                nfull += 1
+            else:
+                nvec += 1
+        if deferred is not None:
+            t = tagged[deferred]
+            free["full" if t[0] == "f" else "vec"].append(t[1])
 
-    nvec_ops = sum(
-        1 for op in body if op[0] != "sc" and rank.get(op[-1]) == "vec"
-    )
     tags = [op[0] for op in lowered]
     report = TapeReport(
         variant=variant,
@@ -1347,7 +966,7 @@ def compile_batch_tape(
         select_ops=tags.count("sel"),
         gather_ops=tags.count("gc") + tags.count("gf"),
         srow_ops=len(param_ops),
-        vec_ops=nvec_ops,
+        vec_ops=nvec,
         full_ops=nfull,
         scenarios=scenarios,
     )
@@ -1397,43 +1016,64 @@ def record_batch_program(
             velocity_rank,
         )
     registry = get_registry()
-    registry.counter("tape.batch_records").inc()
+    registry.counter(_event("tape", "records", batch.size)).inc()
     registry.gauge(f"tape.batch_full_ops.{variant.name}").set(
         program.report.full_ops
     )
     return program
 
 
-class BatchedTape:
-    """Replay a :class:`BatchTapeProgram` over ``S`` scenarios at once.
+# ---------------------------------------------------------------------------
+# Plan-bound batched execution
+# ---------------------------------------------------------------------------
 
-    Shares the serial tape's gather indices, coordinate columns and
-    scatter index pattern (same plan key), so a batch pays plan setup
-    once.  Rank-1 (``vec``) ops run once per batch over the stacked lane
-    axis; only ``full`` ops -- chains downstream of a varying parameter
-    or of per-scenario velocities -- run over ``(S, lanes)``.  Scatter
-    values land in an ``(S, ngroups, ncalls, vector_dim)`` buffer flushed
-    by **one** offset ``bincount`` (:func:`repro.fem.plan.flush_batch`),
-    bit-identical per scenario to the serial flush.
 
-    Execution is chunked over element groups (like the generated kernels)
-    so the ``(S, lanes)`` arena stays cache-sized; every chunk's operand
-    arrays are resolved once into prebound op tuples, cached per
-    ``(chunk_groups, nslabs)``, so steady-state replay does no Python-
-    level ref resolution.
+def _event(prefix: str, event: str, scenarios: int) -> str:
+    """Counter name of a kernel event.
+
+    Single-scenario (``S = 1``) kernels keep the historical
+    ``<prefix>.<event>`` names (``tape.records``, ``codegen.compiles``,
+    ``tape.executions``, ...); larger batches count under
+    ``<prefix>.batch_<event>``.
+    """
+    if scenarios == 1:
+        return f"{prefix}.{event}"
+    return f"{prefix}.batch_{event}"
+
+
+class BoundKernel:
+    """Plan binding shared by the two batched executors.
+
+    Owns everything a batched kernel needs from the
+    :class:`~repro.fem.plan.AssemblyPlan` and its packing: per-slot
+    gather indices over the stacked lane axis, coordinate columns, the
+    velocity columns (``(3, nnode)`` shared or ``(3, S, nnode)``
+    per-scenario), the plan-shared scatter pattern, the ``(S, ngroups,
+    ncalls, vector_dim)`` deferred values buffer, the ``(S, 1)``
+    parameter rows and the one-``bincount`` batched flush.  The scatter
+    pattern is keyed ``(variant, vector_dim, permutation)`` -- the same
+    key the interpreted :class:`~repro.fem.plan.ScatterAccumulator` uses
+    -- so every mode and batch size of one configuration shares it.
+
+    A single-scenario assembly is the ``S = 1`` case of the same binding.
+    Subclasses supply ``_resolve_cg`` (chunk size), ``_build_closures``
+    (per-slab chunk work), ``_slab_tasks`` (one callable per arena slab)
+    and ``_profile`` (their profile slot).
     """
 
     #: target bytes per arena slab for the default chunk size
     TARGET_SLAB_BYTES = 8 << 20
+    #: span and counter prefix of the concrete executor
+    KIND = "tape"
 
     def __init__(
         self,
-        program: BatchTapeProgram,
+        program,
         plan,
         packing,
         perm_key=None,
         tracer=NULL_TRACER,
-    ):
+    ) -> None:
         self.program = program
         self.plan = plan
         self.packing = packing
@@ -1446,10 +1086,16 @@ class BatchedTape:
         groups = packing.groups()
         self.ngroups = len(groups)
         self.vector_dim = int(packing.vector_dim)
+        vd = getattr(program, "vector_dim", self.vector_dim)
+        if vd != self.vector_dim:
+            raise ValueError(
+                f"program generated for vector_dim={vd}, "
+                f"packing has {self.vector_dim}"
+            )
         self.nlane = self.ngroups * self.vector_dim
         nnpe = program.nnode_per_element
 
-        conn3 = np.stack([g.connectivity for g in groups])
+        conn3 = np.stack([g.connectivity for g in groups])  # (G, vd, nnpe)
         conn_all = conn3.reshape(self.nlane, nnpe)
         self._idx = [
             np.ascontiguousarray(conn_all[:, s], dtype=np.int64)
@@ -1463,52 +1109,26 @@ class BatchedTape:
         else:
             self._vcols = np.empty((3, self.nnode))
 
-        # -- scatter pattern: shared with the serial tape ----------------
         ncalls = len(program.scatter_calls)
-        self._ncalls = ncalls
-        signature = tuple(
-            (g, slot, comp)
-            for g in range(self.ngroups)
-            for (slot, comp) in program.scatter_calls
-        )
         key = (program.variant, self.vector_dim, perm_key)
         pattern = plan.scatter_pattern(key)
         registry = get_registry()
         if pattern is None:
-            from ..fem.plan import seed_flush_order
-
-            trash = self.nnode * self.ncomp
-            active3 = np.stack([g.active for g in groups])
-            indices = np.empty(
-                (self.ngroups, ncalls, self.vector_dim), dtype=np.int64
-            )
-            for c, (slot, comp) in enumerate(program.scatter_calls):
-                icol = conn3[:, :, slot] * self.ncomp + comp
-                np.copyto(indices[:, c, :], np.where(active3, icol, trash))
-            order = None
-            seed_ids = mesh.seed_element_ids
-            if seed_ids is not None:
-                lane_seed = np.concatenate(
-                    [seed_ids[g.element_ids] for g in groups]
-                )
-                order = seed_flush_order(
-                    lane_seed, active3.reshape(-1), ncalls, self.vector_dim
-                )
-            pattern = plan.store_scatter_pattern(
-                key, indices.reshape(-1), signature, order=order
-            )
+            pattern = self._build_pattern(key, groups, conn3, ncalls)
             registry.counter("scatter.pattern_builds").inc()
         else:
-            if pattern.signature != signature:
+            # every group of a sweep issues the same straight-line call
+            # sequence, so the length and group 0's calls pin the pattern
+            if len(pattern.signature) != self.ngroups * ncalls or (
+                pattern.signature[:ncalls]
+                != tuple((0, s, c) for s, c in program.scatter_calls)
+            ):
                 raise RuntimeError(
                     "scatter pattern mismatch: cached plan pattern does "
-                    "not match the batched tape's call order"
+                    f"not match the {type(self).__name__}'s call order"
                 )
             registry.counter("scatter.pattern_reuses").inc()
         self._pattern = pattern
-
-        # -- persistent buffers ------------------------------------------
-        from ..fem.plan import batch_flush_indices
 
         self._batch_indices = batch_flush_indices(
             pattern, self.S, self.nnode, self.ncomp
@@ -1521,125 +1141,283 @@ class BatchedTape:
         #: current per-scenario parameter rows (name -> (S, 1) array);
         #: refreshed by the plan wrapper on every cache hit
         self.param_rows: Dict[str, np.ndarray] = {}
-        self._ufuncs = {name: _ufunc(name) for name in _UFUNC_NAMES.values()}
-        self._closure_cache: Dict[tuple, list] = {}
+        #: (chunk_groups, nslabs) -> per-slab lists of prebound chunks
+        self._chunk_cache: Dict[Tuple[int, int], list] = {}
+
+    def _build_pattern(self, key, groups, conn3, ncalls):
+        """Vectorized build of the sweep's scatter index pattern.
+
+        Stores the same object the interpreted accumulator would have
+        built call by call: same key, signature and flattened
+        ``(group, call, lane)`` index order.
+        """
+        program = self.program
+        mesh = self.plan.mesh
+        vd = self.vector_dim
+        trash = self.nnode * self.ncomp
+        active3 = np.stack([g.active for g in groups])  # (G, vd)
+        indices = np.empty((self.ngroups, ncalls, vd), dtype=np.int64)
+        for c, (slot, comp) in enumerate(program.scatter_calls):
+            icol = conn3[:, :, slot] * self.ncomp + comp
+            np.copyto(indices[:, c, :], np.where(active3, icol, trash))
+        order = None
+        seed_ids = mesh.seed_element_ids
+        if seed_ids is not None:
+            lane_seed = np.concatenate(
+                [seed_ids[g.element_ids] for g in groups]
+            )
+            order = seed_flush_order(
+                lane_seed, active3.reshape(-1), ncalls, vd
+            )
+        signature = tuple(
+            (g, slot, comp)
+            for g in range(self.ngroups)
+            for (slot, comp) in program.scatter_calls
+        )
+        return self.plan.store_scatter_pattern(
+            key, indices.reshape(-1), signature, order=order
+        )
 
     @property
     def report(self) -> TapeReport:
         return self.program.report
 
-    # -- chunk planning ---------------------------------------------------
-
-    def _default_chunk_groups(self) -> int:
+    def _default_chunk_groups(self, rows_vec: int, rows_full: int) -> int:
         """Largest chunk whose two arena slabs fit the byte target."""
-        per_lane = 8 * (
-            self.program.nbufs_vec + 1
-            + (self.program.nbufs_full + 1) * self.S
-        )
+        per_lane = 8 * (rows_vec + 1 + (rows_full + 1) * self.S)
         cg = self.TARGET_SLAB_BYTES // max(per_lane * self.vector_dim, 1)
         return max(1, min(int(cg), self.ngroups))
 
+    def _chunks(self, cg: int) -> List[Tuple[int, int]]:
+        bounds = list(range(0, self.ngroups, cg)) + [self.ngroups]
+        return list(zip(bounds[:-1], bounds[1:]))
+
+    def _closures(self, cg: int, nslabs: int) -> list:
+        """The subclass's per-slab chunk lists, cached per (cg, nslabs)."""
+        per_slab = self._chunk_cache.get((cg, nslabs))
+        if per_slab is None:
+            per_slab = self._build_closures(cg, nslabs)
+            self._chunk_cache[(cg, nslabs)] = per_slab
+        return per_slab
+
+    def _check_velocity(self, velocity: np.ndarray) -> np.ndarray:
+        velocity = np.asarray(velocity, dtype=np.float64)
+        if self.program.velocity_rank == "full":
+            want = (self.S, self.nnode, 3)
+        else:
+            want = (self.nnode, 3)
+        if velocity.shape != want:
+            raise ValueError(
+                f"velocity must be {want} for velocity_rank="
+                f"{self.program.velocity_rank!r}, got {velocity.shape}"
+            )
+        return velocity
+
+    def _prepare(self, velocity: np.ndarray, rhs: Optional[np.ndarray]):
+        """Validate inputs, refresh velocity columns and parameter rows."""
+        velocity = self._check_velocity(velocity)
+        if rhs is None:
+            rhs = np.zeros((self.S, self.nnode, self.ncomp))
+        if self.program.velocity_rank == "full":
+            np.copyto(self._vcols, np.moveaxis(velocity, -1, 0))
+        else:
+            np.copyto(self._vcols, velocity.T)
+        _eval_param_stage(self.program, self.param_rows, self._Q)
+        return rhs
+
+    def _flush(self, rhs: np.ndarray, profile=None) -> None:
+        with self.tracer.span(
+            "scatter.flush_batch",
+            variant=self.program.variant,
+            scenarios=self.S,
+        ):
+            t0 = time.perf_counter()
+            flush_batch(
+                self._pattern, self._batch_indices, self._values2d, rhs,
+                self.nnode, self.ncomp,
+            )
+            if profile is not None:
+                # values read + int64 index read + rhs accumulate traffic
+                moved = 2.0 * self._values2d.nbytes + rhs.nbytes
+                profile.record_flush(time.perf_counter() - t0, moved)
+
+    # -- execution --------------------------------------------------------
+
+    def execute(
+        self,
+        velocity: np.ndarray,
+        rhs: Optional[np.ndarray] = None,
+        chunk_groups: Optional[int] = None,
+    ) -> np.ndarray:
+        """Assemble all ``S`` scenario RHS vectors into ``rhs`` (``(S,
+        nnode, 3)``, allocated when ``None``), chunk by chunk."""
+        return self._run(velocity, rhs, 1, chunk_groups, "serial")
+
+    def execute_chunked(
+        self,
+        velocity: np.ndarray,
+        rhs: Optional[np.ndarray] = None,
+        num_threads: Optional[int] = None,
+        chunk_groups: Optional[int] = None,
+    ) -> np.ndarray:
+        """Threaded assembly; bitwise identical to :meth:`execute`.
+
+        Chunks are striped over one arena slab per thread; they write
+        disjoint slices of the shared values buffer and the
+        offset-``bincount`` flush runs serially afterwards, so thread
+        count and scheduling order cannot change a bit.
+        """
+        from ..parallel.threads import resolve_num_threads
+
+        return self._run(
+            velocity, rhs, resolve_num_threads(num_threads), chunk_groups,
+            "threads",
+        )
+
+    def _run(self, velocity, rhs, nthreads: int, chunk_groups,
+             executor: str) -> np.ndarray:
+        from ..parallel.threads import get_thread_pool
+
+        rhs = self._prepare(velocity, rhs)
+        cg = self._resolve_cg(chunk_groups)
+        nchunks = -(-self.ngroups // cg)
+        threaded = nthreads > 1 and nchunks > 1
+        with self.tracer.span(
+            f"{self.KIND}.execute_batch",
+            variant=self.program.variant,
+            scenarios=self.S,
+            vector_dim=self.vector_dim,
+            chunks=nchunks,
+            threads=nthreads,
+            chunk_groups=cg,
+        ):
+            profile = self._profile(executor) if self.profiler.enabled else None
+            tasks = self._slab_tasks(
+                cg, min(nthreads, nchunks) if threaded else 1, profile
+            )
+            if not threaded:
+                tasks[0]()
+            else:
+                pool = get_thread_pool(nthreads)
+                for future in [pool.submit(task) for task in tasks]:
+                    future.result()
+            self._flush(rhs, profile)
+            if profile is not None:
+                profile.finish_execution()
+        registry = get_registry()
+        registry.counter(_event(self.KIND, "executions", self.S)).inc()
+        if self.S > 1:
+            registry.counter(f"{self.KIND}.batch_scenarios").inc(self.S)
+        registry.counter(f"{self.KIND}.lanes_executed").inc(self.nlane)
+        registry.counter("locality.chunks_executed").inc(nchunks)
+        if threaded:
+            registry.counter("locality.threaded_executions").inc()
+        return rhs
+
+
+class BatchedTape(BoundKernel):
+    """Replay a :class:`BatchTapeProgram` over ``S`` scenarios at once.
+
+    Rank-1 (``vec``) ops run once per batch over the stacked lane axis;
+    only ``full`` ops -- chains downstream of a varying parameter or of
+    per-scenario velocities -- run over ``(S, lanes)``.  Scatter values
+    land in an ``(S, ngroups, ncalls, vector_dim)`` buffer flushed by
+    **one** offset ``bincount`` (:func:`repro.fem.plan.flush_batch`),
+    bit-identical per scenario to the interpreted flush.  At ``S = 1``
+    every op is rank-1 and this is the single-scenario compiled kernel.
+
+    Execution is chunked over element groups so the ``(S, lanes)`` arena
+    stays cache-sized; every chunk's operand arrays are resolved once
+    into prebound op tuples, cached per ``(chunk_groups, nslabs)``, so
+    steady-state replay does no Python-level ref resolution.
+    """
+
+    def __init__(self, program: BatchTapeProgram, plan, packing,
+                 perm_key=None, tracer=NULL_TRACER):
+        super().__init__(program, plan, packing, perm_key, tracer)
+        self._ufuncs = {name: _ufunc(name) for name in _UFUNC_NAMES.values()}
+        #: per-op lane multiplier of the profiled replay
+        self._lane_scale = [
+            self.S if op[0] == "sc" or op[-1][0] == "f" else 1
+            for op in program.ops
+        ]
+
+    # -- chunk planning ---------------------------------------------------
+
     def _resolve_cg(self, chunk_groups) -> int:
+        if chunk_groups is None:
+            chunk_groups = self.plan.tuned_chunk_groups(self.program.variant)
         if chunk_groups is not None:
             return max(1, min(int(chunk_groups), self.ngroups))
-        cg = self.plan.tuned_chunk_groups(self.program.variant)
-        if cg is not None:
-            return max(1, min(int(cg), self.ngroups))
-        return self._default_chunk_groups()
+        return self._default_chunk_groups(
+            self.program.nbufs_vec, self.program.nbufs_full
+        )
 
-    def _bind_chunk(self, g0: int, g1: int, slab) -> Tuple[list, list]:
+    def _bind_chunk(self, g0: int, g1: int, slab) -> Tuple[list, int]:
         """Resolve one chunk's ops to prebound ``(code, arrays...)``.
 
-        Returns the op list and a parallel per-op lane-count list (honest
-        work: ``n`` lanes for rank-1 ops, ``S * n`` for full-rank ones).
+        Returns the op list and the chunk's lane count ``n``.  Every
+        arena row, parameter row and gather index slice is viewed once
+        per chunk, then shared by all the ops that read it.
         """
         arena_v, arena_f_flat, mask_v, mask_f_flat, mask_q = slab
+        program = self.program
         vd = self.vector_dim
         lo = g0 * vd
         n = (g1 - g0) * vd
         nrows = g1 - g0
         S = self.S
-        lanes = slice(lo, lo + n)
-        Q = self._Q
-
-        def arr(ref):
-            tag = ref[0]
-            if tag == "v":
-                return arena_v[ref[1], :n]
-            if tag == "f":
-                return arena_f_flat[ref[1], : S * n].reshape(S, n)
-            return Q[ref[1]]  # "q"
+        views = {("v", r): arena_v[r, :n] for r in range(program.nbufs_vec)}
+        views.update(
+            (("f", r), arena_f_flat[r, : S * n].reshape(S, n))
+            for r in range(program.nbufs_full)
+        )
+        views.update((("q", k), q) for k, q in enumerate(self._Q))
+        idx = [col[lo:lo + n] for col in self._idx]
+        masks = {"v": mask_v[:n], "f": mask_f_flat[: S * n].reshape(S, n),
+                 "q": mask_q}
+        ufuncs = self._ufuncs
+        values = self._values
+        gf_code = 4 if program.velocity_rank == "full" else 3
 
         # lowered operands are tagged tuples or folded np.float64 scalars
-        # (never plain ints, so tuple-ness is the whole scalar test here)
         def operand(ref):
-            return arr(ref) if isinstance(ref, tuple) else ref
-
-        def lanes_of(ref) -> int:
-            if not isinstance(ref, tuple) or ref[0] == "q":
-                return S
-            return S * n if ref[0] == "f" else n
+            return views[ref] if type(ref) is tuple else ref
 
         ops: List[tuple] = []
-        nlanes: List[int] = []
-        for op in self.program.ops:
+        for op in program.ops:
             tag = op[0]
             if tag == "bin":
-                ops.append((0, self._ufuncs[op[1]], operand(op[2]),
-                            operand(op[3]), arr(op[4])))
-                nlanes.append(lanes_of(op[4]))
+                ops.append((0, ufuncs[op[1]], operand(op[2]),
+                            operand(op[3]), views[op[4]]))
             elif tag == "un":
-                ops.append((1, self._ufuncs[op[1]], operand(op[2]),
-                            arr(op[3])))
-                nlanes.append(lanes_of(op[3]))
+                ops.append((1, ufuncs[op[1]], operand(op[2]), views[op[3]]))
             elif tag == "sel":
                 x = op[1]
-                if not isinstance(x, tuple) or x[0] == "q":
-                    m = mask_q
-                elif x[0] == "f":
-                    m = mask_f_flat[: S * n].reshape(S, n)
-                else:
-                    m = mask_v[:n]
+                m = masks[x[0]] if type(x) is tuple else mask_q
                 ops.append((2, operand(x), operand(op[2]), operand(op[3]),
-                            op[4], arr(op[5]), m))
-                nlanes.append(lanes_of(op[5]))
+                            op[4], views[op[5]], m))
             elif tag == "gc":
-                ops.append((3, self._ccols[op[2]], self._idx[op[1]][lanes],
-                            arr(op[3])))
-                nlanes.append(n)
+                ops.append((3, self._ccols[op[2]], idx[op[1]], views[op[3]]))
             elif tag == "gf":
-                if self.program.velocity_rank == "full":
-                    ops.append((4, self._vcols[op[2]],
-                                self._idx[op[1]][lanes], arr(op[3])))
-                    nlanes.append(S * n)
-                else:
-                    ops.append((3, self._vcols[op[2]],
-                                self._idx[op[1]][lanes], arr(op[3])))
-                    nlanes.append(n)
+                ops.append((gf_code, self._vcols[op[2]], idx[op[1]],
+                            views[op[3]]))
             else:  # sc
                 _, call, slot, comp, src = op
-                dst = self._values[:, g0:g1, call, :]
-                if not isinstance(src, tuple):
+                dst = values[:, g0:g1, call, :]
+                if type(src) is not tuple:
                     ops.append((6, dst, src))
-                    nlanes.append(S * n)
                 elif src[0] == "q":
-                    ops.append((5, dst, Q[src[1]].reshape(S, 1, 1)))
-                    nlanes.append(S * n)
+                    ops.append((5, dst, views[src].reshape(S, 1, 1)))
                 elif src[0] == "f":
-                    ops.append((5, dst, arr(src).reshape(S, nrows, vd)))
-                    nlanes.append(S * n)
+                    ops.append((5, dst, views[src].reshape(S, nrows, vd)))
                 else:
-                    ops.append((5, dst, arr(src).reshape(nrows, vd)))
-                    nlanes.append(S * n)
-        return ops, nlanes
+                    ops.append((5, dst, views[src].reshape(nrows, vd)))
+        return ops, n
 
-    def _closures(self, cg: int, nslabs: int) -> list:
-        """Per-slab lists of prebound chunks, cached per (cg, nslabs)."""
-        cached = self._closure_cache.get((cg, nslabs))
-        if cached is not None:
-            return cached
-        bounds = list(range(0, self.ngroups, cg)) + [self.ngroups]
-        chunks = list(zip(bounds[:-1], bounds[1:]))
+    def _build_closures(self, cg: int, nslabs: int) -> list:
+        """Per-slab lists of prebound chunks, one arena slab each."""
+        chunks = self._chunks(cg)
         nslabs = max(1, min(nslabs, len(chunks)))
         cgw = cg * self.vector_dim
         S = self.S
@@ -1656,7 +1434,6 @@ class BatchedTape:
         per_slab: List[list] = [[] for _ in range(nslabs)]
         for i, (g0, g1) in enumerate(chunks):
             per_slab[i % nslabs].append(self._bind_chunk(g0, g1, slabs[i % nslabs]))
-        self._closure_cache[(cg, nslabs)] = per_slab
         return per_slab
 
     # -- op execution -----------------------------------------------------
@@ -1683,9 +1460,12 @@ class BatchedTape:
             else:  # code == 6
                 op[1][...] = op[2]
 
-    @staticmethod
-    def _run_ops_timed(ops: list, nlanes: list, profile) -> None:
+    def _run_ops_timed(self, ops: list, n: int, profile) -> None:
+        """Profiled twin of :meth:`_run_ops`: identical op stream, one
+        clock read per op, honest lane counts (``n`` for rank-1 ops,
+        ``S * n`` for full-rank ones and scatters)."""
         clock = time.perf_counter
+        scale = self._lane_scale
         for i, op in enumerate(ops):
             code = op[0]
             t0 = clock()
@@ -1706,214 +1486,31 @@ class BatchedTape:
                 np.copyto(op[1], op[2])
             else:
                 op[1][...] = op[2]
-            profile.record(i, clock() - t0, nlanes[i])
+            profile.record(i, clock() - t0, scale[i] * n)
 
     def _run_slab(self, chunks: list, profile=None) -> None:
         if profile is None:
             for ops, _ in chunks:
                 self._run_ops(ops)
         else:
-            for ops, nlanes in chunks:
-                self._run_ops_timed(ops, nlanes, profile)
+            for ops, n in chunks:
+                self._run_ops_timed(ops, n, profile)
 
-    # -- public API -------------------------------------------------------
+    def _slab_tasks(self, cg: int, nslabs: int, profile) -> list:
+        return [
+            functools.partial(self._run_slab, chunks, profile)
+            for chunks in self._closures(cg, nslabs)
+        ]
 
-    def _check_velocity(self, velocity: np.ndarray) -> np.ndarray:
-        velocity = np.asarray(velocity, dtype=np.float64)
-        if self.program.velocity_rank == "full":
-            want = (self.S, self.nnode, 3)
-        else:
-            want = (self.nnode, 3)
-        if velocity.shape != want:
-            raise ValueError(
-                f"velocity must be {want} for velocity_rank="
-                f"{self.program.velocity_rank!r}, got {velocity.shape}"
-            )
-        return velocity
-
-    def _refresh_inputs(self, velocity: np.ndarray) -> None:
-        if self.program.velocity_rank == "full":
-            np.copyto(self._vcols, np.moveaxis(velocity, -1, 0))
-        else:
-            np.copyto(self._vcols, velocity.T)
-        _eval_param_stage(self.program, self.param_rows, self._Q)
-
-    def _flush(self, rhs: np.ndarray, profile=None) -> None:
-        from ..fem.plan import flush_batch
-
-        with self.tracer.span(
-            "scatter.flush_batch",
-            variant=self.program.variant,
-            scenarios=self.S,
-        ):
-            t0 = time.perf_counter()
-            flush_batch(
-                self._pattern, self._batch_indices, self._values2d, rhs,
-                self.nnode, self.ncomp,
-            )
-            if profile is not None:
-                moved = 2.0 * self._values2d.nbytes + rhs.nbytes
-                profile.record_flush(time.perf_counter() - t0, moved)
-
-    def _profile(self):
-        if not self.profiler.enabled:
-            return None
+    def _profile(self, executor: str):
         return self.profiler.for_batch_program(
-            self.program, self.vector_dim,
-            "threads" if getattr(self, "_threaded", False) else "serial",
+            self.program, self.vector_dim, executor
         )
-
-    def execute(
-        self,
-        velocity: np.ndarray,
-        rhs: Optional[np.ndarray] = None,
-        chunk_groups: Optional[int] = None,
-    ) -> np.ndarray:
-        """Assemble all ``S`` scenario RHS vectors: ``(S, nnode, 3)``."""
-        velocity = self._check_velocity(velocity)
-        if rhs is None:
-            rhs = np.zeros((self.S, self.nnode, self.ncomp))
-        cg = self._resolve_cg(chunk_groups)
-        self._threaded = False
-        with self.tracer.span(
-            "tape.execute_batch",
-            variant=self.program.variant,
-            scenarios=self.S,
-            vector_dim=self.vector_dim,
-            nlane=self.nlane,
-        ):
-            self._refresh_inputs(velocity)
-            profile = self._profile()
-            per_slab = self._closures(cg, 1)
-            self._run_slab(per_slab[0], profile)
-            self._flush(rhs, profile)
-            if profile is not None:
-                profile.finish_execution()
-        registry = get_registry()
-        registry.counter("tape.batch_executions").inc()
-        registry.counter("tape.batch_scenarios").inc(self.S)
-        registry.counter("tape.lanes_executed").inc(self.nlane)
-        return rhs
-
-    def execute_chunked(
-        self,
-        velocity: np.ndarray,
-        rhs: Optional[np.ndarray] = None,
-        num_threads: Optional[int] = None,
-        chunk_groups: Optional[int] = None,
-    ) -> np.ndarray:
-        """Threaded batched assembly; bitwise identical to :meth:`execute`.
-
-        Chunks write disjoint slices of the shared values buffer and the
-        offset-``bincount`` flush runs serially afterwards, so thread
-        count and scheduling order cannot change a bit.
-        """
-        from ..parallel import threads as _threads
-
-        velocity = self._check_velocity(velocity)
-        if rhs is None:
-            rhs = np.zeros((self.S, self.nnode, self.ncomp))
-        nthreads = _threads.resolve_num_threads(num_threads)
-        cg = self._resolve_cg(chunk_groups)
-        nchunks = -(-self.ngroups // cg)
-        threaded = nthreads > 1 and nchunks > 1
-        self._threaded = threaded
-        with self.tracer.span(
-            "tape.execute_batch_chunked",
-            variant=self.program.variant,
-            scenarios=self.S,
-            vector_dim=self.vector_dim,
-            chunks=nchunks,
-            threads=nthreads,
-        ):
-            self._refresh_inputs(velocity)
-            profile = self._profile()
-            per_slab = self._closures(
-                cg, min(nthreads, nchunks) if threaded else 1
-            )
-            if not threaded:
-                self._run_slab(per_slab[0], profile)
-            else:
-                pool = _threads.get_thread_pool(nthreads)
-                for future in [
-                    pool.submit(self._run_slab, chunks, profile)
-                    for chunks in per_slab
-                ]:
-                    future.result()
-            self._flush(rhs, profile)
-            if profile is not None:
-                profile.finish_execution()
-        registry = get_registry()
-        registry.counter("tape.batch_executions").inc()
-        registry.counter("tape.batch_scenarios").inc(self.S)
-        registry.counter("tape.lanes_executed").inc(self.nlane)
-        registry.counter("locality.chunks_executed").inc(nchunks)
-        if threaded:
-            registry.counter("locality.threaded_executions").inc()
-        return rhs
 
 
 # ---------------------------------------------------------------------------
 # Plan-level cache
 # ---------------------------------------------------------------------------
-
-
-def tape_cache_key(
-    variant_name: str,
-    vector_dim: int,
-    permutation: Optional[np.ndarray],
-    kernel_params: Dict[str, float],
-) -> tuple:
-    perm_key = None if permutation is None else np.asarray(
-        permutation, dtype=np.int64
-    ).tobytes()
-    return (
-        variant_name.upper(),
-        int(vector_dim),
-        perm_key,
-        tuple(sorted(kernel_params.items())),
-    )
-
-
-def compiled_tape(
-    plan,
-    variant_name: str,
-    vector_dim: int,
-    permutation: Optional[np.ndarray] = None,
-    kernel_params: Optional[Dict[str, float]] = None,
-    tracer=None,
-    profiler=None,
-) -> CompiledTape:
-    """The plan-cached :class:`CompiledTape` for one configuration.
-
-    Tapes are recorded once per ``(variant, vector_dim, permutation,
-    kernel params)`` and cached on the :class:`~repro.fem.plan.AssemblyPlan`;
-    mesh reorientation invalidates the plan (and with it every tape), so
-    the effective key is ``(variant, vector_dim, mesh version)`` as the
-    tape contract requires.
-    """
-    kernel_params = dict(kernel_params or {})
-    key = tape_cache_key(variant_name, vector_dim, permutation, kernel_params)
-    tape = plan.cached_tape(key)
-    registry = get_registry()
-    if tape is None:
-        with get_tracer().span(
-            "tape.compile", variant=key[0], vector_dim=int(vector_dim)
-        ):
-            program = record_program(key[0], kernel_params)
-            packing = plan.packing(int(vector_dim), permutation=permutation)
-            tape = CompiledTape(program, plan, packing, perm_key=key[2])
-        plan.store_tape(key, tape)
-        registry.counter("tape.compiles").inc()
-    else:
-        registry.counter("tape.cache_hits").inc()
-    if tracer is not None:
-        tape.tracer = tracer
-    # Always (re)set the profiler: tapes are plan-cached and shared across
-    # assemblers, so a stale profiler must never leak into an unprofiled
-    # sweep (unlike the tracer, which is additive and harmless to keep).
-    tape.profiler = profiler if profiler is not None else NULL_PROFILER
-    return tape
 
 
 def batch_tape_cache_key(
@@ -1953,7 +1550,9 @@ def batched_tape(
     constant and flag, and the velocity rank.  The varying parameter
     *values* live outside the tape: they are refreshed from ``batch`` on
     every call, so sweeping a campaign over new values of the same
-    parameters re-records nothing.
+    parameters re-records nothing.  A one-scenario batch is the
+    single-scenario compiled kernel.  Mesh reorientation invalidates the
+    plan, and with it every cached tape.
     """
     key = batch_tape_cache_key(
         variant_name, vector_dim, permutation, batch, velocity_rank
@@ -1973,11 +1572,14 @@ def batched_tape(
             packing = plan.packing(int(vector_dim), permutation=permutation)
             tape = BatchedTape(program, plan, packing, perm_key=key[2])
         plan.store_tape(key, tape)
-        registry.counter("tape.batch_compiles").inc()
+        registry.counter(_event("tape", "compiles", batch.size)).inc()
     else:
-        registry.counter("tape.batch_cache_hits").inc()
+        registry.counter(_event("tape", "cache_hits", batch.size)).inc()
     tape.param_rows = batch.param_rows()
     if tracer is not None:
         tape.tracer = tracer
+    # Always (re)set the profiler: tapes are plan-cached and shared across
+    # assemblers, so a stale profiler must never leak into an unprofiled
+    # sweep (unlike the tracer, which is additive and harmless to keep).
     tape.profiler = profiler if profiler is not None else NULL_PROFILER
     return tape

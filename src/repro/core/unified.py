@@ -35,8 +35,10 @@ from .dsl import (
     TracingBackend,
     TraceReport,
 )
+from .batch import ScenarioBatch
+from .codegen import batched_generated_kernel
 from .restructured import SPEC_DENSITY, SPEC_VISCOSITY, SPEC_VREMAN_C
-from .tape import compiled_tape
+from .tape import batched_tape
 from .variants import Variant, get_variant
 
 __all__ = [
@@ -121,7 +123,10 @@ class UnifiedAssembler:
         (:mod:`repro.core.codegen`): the tape lowered to exec-compiled
         Python with CSE, invariant hoisting and expression fusion --
         still bit-identical, with the per-op dispatch overhead gone.
-        Compiled and codegen modes require ``use_plan=True``.
+        Both run one kernel shape, the scenario-batched one:
+        :meth:`assemble` is its one-scenario batch of ``params`` and
+        :meth:`run_batch` its ``S``-scenario batch.  Compiled and codegen
+        modes require ``use_plan=True``.
     tracer:
         Optional :class:`repro.obs.Tracer`; assemblies and kernel traces
         are recorded as ``assemble`` / ``kernel_trace`` spans.  Defaults to
@@ -136,22 +141,22 @@ class UnifiedAssembler:
         the seed per-call ``np.add.at`` path (bit-identical results; the
         equivalence tests rely on this switch).
     executor:
-        ``"serial"`` (default) replays the whole lane axis in one sweep;
-        ``"threads"`` (compiled/codegen modes only) splits element groups
-        into cache-sized chunks executed on a shared
+        ``"serial"`` (default) runs the cache-sized chunks of element
+        groups one after another; ``"threads"`` (compiled/codegen modes
+        only) runs them on a shared
         :class:`~concurrent.futures.ThreadPoolExecutor` with per-thread
-        arena slabs (:meth:`~repro.core.tape.CompiledTape.execute_chunked`
-        / :meth:`~repro.core.codegen.GeneratedKernel.execute_chunked`).
+        arena slabs (:meth:`~repro.core.tape.BatchedTape.execute_chunked`
+        / :meth:`~repro.core.codegen.BatchedGeneratedKernel.execute_chunked`).
         The threaded reduction order is fixed, so results stay bitwise
         identical to the serial executor.
     num_threads:
         Thread count for ``executor="threads"``; defaults to the CPU
         count (``REPRO_NUM_THREADS`` overrides).
     chunk_groups:
-        Chunk size (element groups per chunk) for the threaded executor;
-        ``None`` resolves to the plan's autotuned winner
-        (:func:`repro.core.autotune.autotune_chunk_groups`) or a cache
-        heuristic.
+        Chunk size (element groups per chunk) of the compiled and codegen
+        kernels; ``None`` resolves to the plan's autotuned winner
+        (:func:`repro.core.autotune.autotune_chunk_groups`, compiled
+        mode) or a cache-footprint heuristic.
     fault_plan:
         Optional :class:`~repro.resilience.faults.FaultPlan`; an
         ``("assembler", "nan"/"inf")`` fault corrupts one lane of the
@@ -222,6 +227,9 @@ class UnifiedAssembler:
         else:
             self.plan = None
         self._kernel_params = self.params.as_kernel_params()
+        #: compiled/codegen assembly runs the batched kernel on this
+        #: one-scenario batch of ``params``
+        self._single = ScenarioBatch([self.params])
         perm = self.permutation
         self._perm_key = None if perm is None else np.asarray(
             perm, dtype=np.int64
@@ -337,41 +345,12 @@ class UnifiedAssembler:
             executor=self.executor,
         ):
             if self.mode in ("compiled", "codegen"):
-                if self.mode == "codegen":
-                    from .codegen import generated_kernel
-
-                    runner = generated_kernel(
-                        self.plan,
-                        variant.name,
-                        vector_dim,
-                        permutation=self.permutation,
-                        kernel_params=self._kernel_params,
-                        tracer=self.tracer,
-                        profiler=self.profiler if self.profile else None,
-                    )
-                else:
-                    runner = compiled_tape(
-                        self.plan,
-                        variant.name,
-                        vector_dim,
-                        permutation=self.permutation,
-                        kernel_params=self._kernel_params,
-                        tracer=self.tracer,
-                        profiler=self.profiler if self.profile else None,
-                    )
-                if self.executor == "threads":
-                    rhs = runner.execute_chunked(
-                        velocity,
-                        rhs,
-                        num_threads=self.num_threads,
-                        chunk_groups=self.chunk_groups,
-                    )
-                elif self.mode == "codegen":
-                    rhs = runner.execute(
-                        velocity, rhs, chunk_groups=self.chunk_groups
-                    )
-                else:
-                    rhs = runner.execute(velocity, rhs)
+                # the S = 1 batched kernel; row 0 of its (1, nnode, 3)
+                # output is ``rhs`` itself
+                runner = self._plan_kernel(
+                    variant.name, vector_dim, self._single, "vec"
+                )
+                self._execute(runner, velocity, rhs[None])
                 self._maybe_corrupt(rhs)
                 return rhs
             packing = (
@@ -403,6 +382,35 @@ class UnifiedAssembler:
                     acc.finalize(rhs)
             self._maybe_corrupt(rhs)
         return rhs
+
+    def _plan_kernel(self, variant_name, vector_dim, batch, velocity_rank):
+        """The plan-cached batched kernel of this assembler's mode."""
+        kernel = (
+            batched_generated_kernel if self.mode == "codegen"
+            else batched_tape
+        )
+        return kernel(
+            self.plan,
+            variant_name,
+            vector_dim,
+            batch,
+            permutation=self.permutation,
+            velocity_rank=velocity_rank,
+            tracer=self.tracer,
+            profiler=self.profiler if self.profile else None,
+        )
+
+    def _execute(self, runner, velocity: np.ndarray, rhs: np.ndarray) -> None:
+        """Run ``runner`` on this assembler's executor, into ``rhs``."""
+        if self.executor == "threads":
+            runner.execute_chunked(
+                velocity,
+                rhs,
+                num_threads=self.num_threads,
+                chunk_groups=self.chunk_groups,
+            )
+        else:
+            runner.execute(velocity, rhs, chunk_groups=self.chunk_groups)
 
     def _scenario_assembler(self, params: AssemblyParams) -> "UnifiedAssembler":
         """Serial assembler for one scenario's params (interpreted batches)."""
@@ -488,8 +496,6 @@ class UnifiedAssembler:
         returned untouched.  Per-scenario telemetry lands in
         :attr:`last_batch`.
         """
-        from .batch import ScenarioBatch
-
         if not isinstance(batch, ScenarioBatch):
             batch = ScenarioBatch(batch)
         variant = get_variant(variant_name)
@@ -525,43 +531,10 @@ class UnifiedAssembler:
                     v_s = velocity if velocity_rank == "vec" else velocity[s]
                     rhs[s] = sub.assemble(variant.name, v_s)
             else:
-                if self.mode == "codegen":
-                    from .codegen import batched_generated_kernel
-
-                    runner = batched_generated_kernel(
-                        self.plan,
-                        variant.name,
-                        vector_dim,
-                        batch,
-                        permutation=self.permutation,
-                        velocity_rank=velocity_rank,
-                        tracer=self.tracer,
-                        profiler=self.profiler if self.profile else None,
-                    )
-                else:
-                    from .tape import batched_tape
-
-                    runner = batched_tape(
-                        self.plan,
-                        variant.name,
-                        vector_dim,
-                        batch,
-                        permutation=self.permutation,
-                        velocity_rank=velocity_rank,
-                        tracer=self.tracer,
-                        profiler=self.profiler if self.profile else None,
-                    )
-                if self.executor == "threads":
-                    rhs = runner.execute_chunked(
-                        velocity,
-                        rhs,
-                        num_threads=self.num_threads,
-                        chunk_groups=self.chunk_groups,
-                    )
-                else:
-                    rhs = runner.execute(
-                        velocity, rhs, chunk_groups=self.chunk_groups
-                    )
+                runner = self._plan_kernel(
+                    variant.name, vector_dim, batch, velocity_rank
+                )
+                self._execute(runner, velocity, rhs)
             if self.fault_plan is not None:
                 for s in range(S):
                     self.fault_plan.corrupt("assembler", rhs[s])

@@ -37,7 +37,9 @@ cache hits, strategy use and reduced value counts.
 from __future__ import annotations
 
 import dataclasses
+import threading
 import weakref
+from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -49,8 +51,8 @@ from .mesh import TetMesh
 from .packing import ElementGroup, ElementPacking
 
 __all__ = [
+    "KERNEL_CACHE_SIZE",
     "segment_scatter",
-    "flush_pattern",
     "flush_batch",
     "batch_flush_indices",
     "seed_flush_order",
@@ -261,35 +263,6 @@ def seed_flush_order(
     return _readonly(order)
 
 
-def flush_pattern(
-    pattern: _ScatterPattern,
-    values: np.ndarray,
-    rhs: np.ndarray,
-    nnode: int,
-    ncomp: int = 3,
-) -> None:
-    """Reduce one sweep's buffered scatter ``values`` into ``rhs``.
-
-    The single shared flush of the deferred-scatter paths (the interpreted
-    :class:`ScatterAccumulator` and the compiled tape executor): one
-    ``bincount`` over the precomputed index pattern, sequential in buffer
-    order -- bit-identical to per-call ``np.add.at`` on a zero target.
-    The trash bin (one slot past the real ``nnode * ncomp`` bins) absorbs
-    padding-lane contributions.  Patterns carrying a seed-order ``order``
-    (reordered meshes) gather the values through it first, reducing in
-    the seed mesh's temporal order instead -- see :func:`seed_flush_order`.
-    """
-    registry = get_registry()
-    registry.counter("scatter.bincount_calls").inc()
-    registry.counter("scatter.values_reduced").inc(values.size)
-    if pattern.order is not None:
-        values = values[pattern.order]
-        registry.counter("scatter.seed_order_flushes").inc()
-    trash = int(nnode) * int(ncomp)
-    out = np.bincount(pattern.indices, weights=values, minlength=trash + 1)
-    rhs += out[:trash].reshape(nnode, ncomp)
-
-
 def batch_flush_indices(
     pattern: _ScatterPattern, scenarios: int, nnode: int, ncomp: int = 3
 ) -> np.ndarray:
@@ -299,8 +272,11 @@ def batch_flush_indices(
     with ``stride = nnode * ncomp + 1`` (each scenario keeps its own
     trash bin for padding lanes), so one ``bincount`` over the tiled
     indices reduces all scenarios at once.  Built once per batched tape
-    and reused every flush.
+    and reused every flush.  A single scenario reduces over the pattern's
+    own indices, so ``S = 1`` shares them instead of copying.
     """
+    if int(scenarios) == 1:
+        return pattern.indices
     stride = int(nnode) * int(ncomp) + 1
     offsets = (np.arange(int(scenarios), dtype=np.int64) * stride)
     return _readonly(
@@ -316,25 +292,32 @@ def flush_batch(
     nnode: int,
     ncomp: int = 3,
 ) -> None:
-    """Reduce a batched sweep's ``(S, length)`` values into ``(S, nnode,
-    ncomp)`` -- one ``bincount``, bit-identical per scenario.
+    """Reduce a sweep's ``(S, length)`` buffered scatter values into
+    ``(S, nnode, ncomp)`` -- one ``bincount``, bit-identical per scenario.
 
-    ``batch_indices`` comes from :func:`batch_flush_indices` for the same
-    pattern and ``S = values2d.shape[0]``.  Within each scenario's bin
-    range the weights appear in exactly the buffer order the serial
-    :func:`flush_pattern` would have reduced, so every scenario's RHS
-    matches its serial solve to the last bit.  Patterns carrying a
-    seed-order permutation (reordered meshes) gather each scenario's
-    values through it first, same as the serial flush.
+    The single shared flush of every deferred-scatter path (the
+    interpreted :class:`ScatterAccumulator` at ``S = 1`` and the batched
+    kernel executors).  ``batch_indices`` comes from
+    :func:`batch_flush_indices` for the same pattern and
+    ``S = values2d.shape[0]``.  ``bincount`` sums sequentially in buffer
+    order, and within each scenario's bin range the weights appear in
+    exactly the order the per-call ``np.add.at`` path would have applied
+    them -- so every scenario's RHS matches its seed-path solve to the
+    last bit.  Each scenario's trash bin (one slot past its real
+    ``nnode * ncomp`` bins) absorbs padding-lane contributions.  Patterns
+    carrying a seed-order ``order`` (reordered meshes) gather each
+    scenario's values through it first, reducing in the seed mesh's
+    temporal order instead -- see :func:`seed_flush_order`.
     """
     registry = get_registry()
     registry.counter("scatter.bincount_calls").inc()
     registry.counter("scatter.values_reduced").inc(values2d.size)
-    registry.counter("scatter.batch_flushes").inc()
+    S = values2d.shape[0]
+    if S > 1:
+        registry.counter("scatter.batch_flushes").inc()
     if pattern.order is not None:
         values2d = values2d[:, pattern.order]
         registry.counter("scatter.seed_order_flushes").inc()
-    S = values2d.shape[0]
     trash = int(nnode) * int(ncomp)
     stride = trash + 1
     out = np.bincount(
@@ -464,7 +447,52 @@ class ScatterAccumulator:
                 )
             values = self._values
             registry.counter("scatter.pattern_reuses").inc()
-        flush_pattern(pattern, values, rhs, self._nnode, self._ncomp)
+        flush_batch(
+            pattern, pattern.indices, values[None, :], rhs[None],
+            self._nnode, self._ncomp,
+        )
+
+
+#: Kernels each plan keeps per store (compiled tapes, generated kernels),
+#: least recently used evicted first.  Every runtime parameter that is
+#: not a batch-varying column is folded into a kernel, so a stream of
+#: fresh body forces records a new kernel per request; the cap bounds
+#: that growth.  A kernel in steady use is touched on every assembly, so
+#: it survives unless this many other kernels of the same mesh are used
+#: between two of its calls: with one fresh-force request per two warm
+#: ones on a mesh, that takes 32 fresh requests in a row (odds ~3^-32).
+KERNEL_CACHE_SIZE = 32
+
+
+class _KernelStore:
+    """Least-recently-used store of plan-bound kernels, capped at
+    :data:`KERNEL_CACHE_SIZE` (lookups and inserts may come from several
+    server threads at once, hence the lock)."""
+
+    def __init__(self) -> None:
+        self._items: "OrderedDict[Tuple, object]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def get(self, key: Tuple):
+        with self._lock:
+            kern = self._items.get(key)
+            if kern is not None:
+                self._items.move_to_end(key)
+            return kern
+
+    def put(self, key: Tuple, kern) -> None:
+        with self._lock:
+            self._items[key] = kern
+            self._items.move_to_end(key)
+            evicted = 0
+            while len(self._items) > KERNEL_CACHE_SIZE:
+                self._items.popitem(last=False)
+                evicted += 1
+        if evicted:
+            get_registry().counter("plan.kernel_evictions").inc(evicted)
 
 
 class AssemblyPlan:
@@ -488,8 +516,8 @@ class AssemblyPlan:
         self._packed_coords: Optional[np.ndarray] = None
         self._packings: Dict[Tuple, ElementPacking] = {}
         self._patterns: Dict[Tuple, _ScatterPattern] = {}
-        self._tapes: Dict[Tuple, object] = {}
-        self._codegen: Dict[Tuple, object] = {}
+        self._tapes = _KernelStore()
+        self._codegen = _KernelStore()
         self._tuned_vector_dim: Dict[Tuple[str, str], int] = {}
         self._tuned_chunk_groups: Dict[str, int] = {}
         get_registry().counter("plan.builds").inc()
@@ -574,7 +602,7 @@ class AssemblyPlan:
     ) -> _ScatterPattern:
         """Register a sweep's scatter index pattern and return it.
 
-        Used by the compiled tape executor, which builds the pattern
+        Used by the compiled kernel executors, which build the pattern
         vectorized instead of call-by-call; the stored pattern is the same
         object the interpreted :class:`ScatterAccumulator` would have
         built (same key, same signature, same flattened index order), so
@@ -595,7 +623,7 @@ class AssemblyPlan:
         self._patterns[key] = pattern
         return pattern
 
-    # -- compiled tapes -----------------------------------------------------
+    # -- compiled tapes and generated kernels -------------------------------
     def cached_tape(self, key: Tuple):
         """Cached compiled kernel tape for ``key``, or ``None``.
 
@@ -605,9 +633,8 @@ class AssemblyPlan:
         return self._tapes.get(key)
 
     def store_tape(self, key: Tuple, tape) -> None:
-        self._tapes[key] = tape
+        self._tapes.put(key, tape)
 
-    # -- generated (codegen) kernels ----------------------------------------
     def cached_codegen(self, key: Tuple):
         """Cached generated kernel for ``key``, or ``None``.
 
@@ -618,7 +645,7 @@ class AssemblyPlan:
         return self._codegen.get(key)
 
     def store_codegen(self, key: Tuple, kern) -> None:
-        self._codegen[key] = kern
+        self._codegen.put(key, kern)
 
     # -- autotuned vector_dim -----------------------------------------------
     def tuned_vector_dim(

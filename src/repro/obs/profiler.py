@@ -4,10 +4,13 @@ The paper's performance argument is *measured*: LIKWID/Nsight counter
 groups (Tables I-II) and measured roofline placement (Figure 3) are what
 prove the restructured kernels reach the memory-bandwidth limit.  This
 module plays that role for the Python reproduction.  A
-:class:`TapeProfiler` attaches to the compiled-tape executors
-(:class:`repro.core.tape.CompiledTape` / ``ElementalTape``) and to the
-interpreted DSL path (:class:`repro.core.dsl.ProfilingNumpyBackend`) and
-records, **per tape op**:
+:class:`TapeProfiler` attaches to the plan-path kernels
+(:class:`repro.core.tape.BatchedTape` /
+:class:`repro.core.codegen.BatchedGeneratedKernel`, which also run
+single-scenario assembly as their ``S = 1`` batch), to the worker-side
+``ElementalTape`` / ``ElementalGeneratedKernel`` and to the interpreted
+DSL path (:class:`repro.core.dsl.ProfilingNumpyBackend`) and records,
+**per tape op** (per statement for generated kernels):
 
 * wall time (``perf_counter`` around the exact same ufunc call the
   unprofiled executor makes -- results stay bitwise identical);
@@ -429,11 +432,16 @@ class TapeProfile:
 
     # -- serialization / merge ------------------------------------------
     def key(self) -> Tuple:
-        """Profile identity.  Serial profiles keep the historical
-        4-tuple; batched profiles append their batch size so S=1 and
-        S=16 runs of the same configuration never merge."""
-        base = (self.variant, self.vector_dim, self.mode, self.executor)
-        return base if self.scenarios == 1 else base + (self.scenarios,)
+        """Profile identity ``(variant, vector_dim, mode, executor, S)``.
+
+        The batch size is part of every key, so S=1 and S=16 sweeps of
+        the same configuration never merge; single-scenario assemblies,
+        interpreted sweeps and worker chunks are keyed with ``S = 1``.
+        """
+        return (
+            self.variant, self.vector_dim, self.mode, self.executor,
+            self.scenarios,
+        )
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -515,9 +523,10 @@ class TapeProfiler:
     """Collects :class:`TapeProfile` instances across executions.
 
     One profiler serves any number of tapes/variants; executors ask for
-    their profile with :meth:`for_program` (compiled), :meth:`for_kernel`
-    (interpreted) or :meth:`for_elemental` (multiprocess workers), keyed
-    by ``(variant, vector_dim, mode, executor)``.
+    their profile with :meth:`for_batch_program` (compiled),
+    :meth:`for_batch_codegen` (codegen), :meth:`for_kernel` (interpreted)
+    or :meth:`for_elemental` / :meth:`for_codegen` (multiprocess
+    workers), keyed by ``(variant, vector_dim, mode, executor, S)``.
     """
 
     enabled = True
@@ -539,9 +548,9 @@ class TapeProfiler:
     ) -> TapeProfile:
         """Profile of a scenario-batched replay.
 
-        Keyed ``(variant, vector_dim, "compiled", executor, S)`` -- the
-        batch size extends the serial key so S=1 and S=16 sweeps of the
-        same configuration accumulate separately.  The batched executor
+        Keyed ``(variant, vector_dim, "compiled", executor, S)``, so S=1
+        (single-scenario assembly) and S=16 sweeps of the same
+        configuration accumulate separately.  The batched executor
         records honest lane counts (``n`` for shared rank-1 ops,
         ``S * n`` for full-rank ones), and
         :meth:`TapeProfile.per_scenario_rows` divides back to one
@@ -585,31 +594,15 @@ class TapeProfiler:
             ),
         )
 
-    def for_program(
-        self, program, vector_dim: int, executor: str = "serial"
-    ) -> TapeProfile:
-        key = (program.variant, int(vector_dim), "compiled", executor)
-        return self._get(
-            key,
-            lambda: TapeProfile(
-                program.variant,
-                vector_dim,
-                "compiled",
-                executor,
-                op_costs=op_costs_from_program(program),
-                report=program.report,
-            ),
-        )
-
     def for_kernel(self, variant: str, vector_dim: int) -> TapeProfile:
         """Dynamic-slot profile for the interpreted NumpyBackend path."""
-        key = (variant, int(vector_dim), "interpreted", "serial")
+        key = (variant, int(vector_dim), "interpreted", "serial", 1)
         return self._get(
             key, lambda: TapeProfile(variant, vector_dim, "interpreted")
         )
 
     def for_elemental(self, program, nlane: int) -> TapeProfile:
-        key = (program.variant, int(nlane), "elemental", "worker")
+        key = (program.variant, int(nlane), "elemental", "worker", 1)
         return self._get(
             key,
             lambda: TapeProfile(
@@ -623,23 +616,22 @@ class TapeProfiler:
         )
 
     def for_codegen(
-        self, program, vector_dim: int, executor: str = "serial"
+        self, program, nlane: int, executor: str = "worker"
     ) -> TapeProfile:
-        """Statement-level profile for a generated kernel.
+        """Statement-level profile of a worker's generated elemental kernel.
 
-        ``program`` is a :class:`repro.core.codegen.CodegenProgram` or
-        ``ElementalCodegenProgram``; its ``stmt_costs`` slots carry the
-        *summed* bytes/FLOPs of each fused statement's constituent ops,
-        so phase attribution stays comparable with the replayed tape of
-        the same variant while the dispatch-overhead win shows up as
-        fewer, longer op rows.
+        ``program`` is a :class:`repro.core.codegen.ElementalCodegenProgram`;
+        its ``stmt_costs`` slots carry the *summed* bytes/FLOPs of each
+        fused statement's constituent ops, so phase attribution stays
+        comparable with the replayed tape of the same variant while the
+        dispatch-overhead win shows up as fewer, longer op rows.
         """
-        key = (program.variant, int(vector_dim), "codegen", executor)
+        key = (program.variant, int(nlane), "codegen", executor, 1)
         return self._get(
             key,
             lambda: TapeProfile(
                 program.variant,
-                vector_dim,
+                nlane,
                 "codegen",
                 executor,
                 op_costs=list(program.stmt_costs),
@@ -708,16 +700,13 @@ class NullProfiler:
     enabled = False
     profiles: Dict = {}
 
-    def for_program(self, program, vector_dim, executor="serial"):
-        raise RuntimeError("NullProfiler cannot profile; check .enabled first")
-
     def for_kernel(self, variant, vector_dim):
         raise RuntimeError("NullProfiler cannot profile; check .enabled first")
 
     def for_elemental(self, program, nlane):
         raise RuntimeError("NullProfiler cannot profile; check .enabled first")
 
-    def for_codegen(self, program, vector_dim, executor="serial"):
+    def for_codegen(self, program, nlane, executor="worker"):
         raise RuntimeError("NullProfiler cannot profile; check .enabled first")
 
     def for_batch_program(self, program, vector_dim, executor="serial"):

@@ -715,12 +715,13 @@ class MultiprocessRunner:
         ]
         coords = np.ascontiguousarray(self.mesh.coords, dtype=np.float64)
         conn = np.ascontiguousarray(self.mesh.connectivity, dtype=np.int64)
-        c_shm = create_shared_memory(coords.nbytes)
-        k_shm = create_shared_memory(conn.nbytes)
-        v_shm = create_shared_memory(velocity.nbytes)
         rhs = np.empty((S, nnode, 3))
+        owned: list = []
         ok = False
         try:
+            c_shm = create_shared_memory(coords.nbytes, owner=owned)
+            k_shm = create_shared_memory(conn.nbytes, owner=owned)
+            v_shm = create_shared_memory(velocity.nbytes, owner=owned)
             np.ndarray(coords.shape, np.float64, buffer=c_shm.buf)[...] = coords
             np.ndarray(conn.shape, np.int64, buffer=k_shm.buf)[...] = conn
             np.ndarray(velocity.shape, np.float64, buffer=v_shm.buf)[...] = (
@@ -780,7 +781,7 @@ class MultiprocessRunner:
         finally:
             self._shutdown_pool(graceful=ok)
             self._pool_size = 0
-            for shm in (c_shm, k_shm, v_shm):
+            for shm in owned:
                 release_shared_memory(shm)
         return rhs
 
@@ -843,12 +844,13 @@ class MultiprocessRunner:
                 self.variant, self.params.as_kernel_params()
             )
 
-        x_shm = create_shared_memory(xall.nbytes)
-        u_shm = create_shared_memory(uall.nbytes)
         raw: List[Tuple[int, float]] = []
         self.chunk_checksums = {}
+        owned: list = []
         ok = False
         try:
+            x_shm = create_shared_memory(xall.nbytes, owner=owned)
+            u_shm = create_shared_memory(uall.nbytes, owner=owned)
             np.ndarray(xall.shape, dtype=np.float64, buffer=x_shm.buf)[...] = xall
             np.ndarray(uall.shape, dtype=np.float64, buffer=u_shm.buf)[...] = uall
             registry.counter("runner.shm_bytes_shared").inc(
@@ -933,7 +935,7 @@ class MultiprocessRunner:
             # dead worker behind -- terminate() on the error path.
             self._shutdown_pool(graceful=ok)
             self._pool_size = 0
-            for shm in (x_shm, u_shm):
+            for shm in owned:
                 release_shared_memory(shm)
 
         if self._prom is not None:

@@ -16,6 +16,14 @@ and velocity packs until reboot.  Three layers close that hole:
   pool termination, segment release -- actually run instead of the
   process dying mid-`` bincount``.
 
+Acquiring a segment and protecting it is one step: inside
+:func:`create_shared_memory` the handler's interrupt is *deferred* (it
+is raised when the acquire-and-register block exits), and the segment is
+appended to the caller's ``owner`` list in that same block.  A caller
+that opens its ``try`` before the first creation and releases everything
+in ``owner`` from its ``finally`` cannot leak a segment, whichever
+bytecode the interrupt lands on.
+
 The registry is per-process by construction: pool workers attach to the
 parent's segments by name and never create their own, so the parent's
 single unlink is always the right one.
@@ -24,6 +32,7 @@ single unlink is always the right one.
 from __future__ import annotations
 
 import atexit
+import contextlib
 import os
 import secrets
 import signal
@@ -53,19 +62,63 @@ def _segment_name() -> str:
     return f"{SHM_PREFIX}_{os.getpid()}_{secrets.token_hex(4)}"
 
 
-def create_shared_memory(size: int) -> shared_memory.SharedMemory:
+#: main-thread interrupt deferral of the shutdown handler: nesting depth
+#: of :func:`_interrupts_deferred` blocks and the signal that arrived
+#: inside one (raised when the outermost block exits)
+_deferral = {"depth": 0, "pending": None}
+
+
+@contextlib.contextmanager
+def _interrupts_deferred():
+    """Hold the shutdown handler's ``KeyboardInterrupt`` until exit.
+
+    Signal handlers run in the main thread, so only a main-thread block
+    defers; elsewhere this is a no-op.
+    """
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+    _deferral["depth"] += 1
+    try:
+        yield
+    finally:
+        _deferral["depth"] -= 1
+        if _deferral["depth"] == 0:
+            signum, _deferral["pending"] = _deferral["pending"], None
+            if signum is not None:
+                raise KeyboardInterrupt(f"signal {signum}")
+
+
+def create_shared_memory(
+    size: int, owner: Optional[List[shared_memory.SharedMemory]] = None
+) -> shared_memory.SharedMemory:
     """Create a tracked ``repro_<pid>_<hex>`` shared-memory segment.
 
     The segment is registered for the ``atexit`` purge until
-    :func:`release_shared_memory` deregisters it.
+    :func:`release_shared_memory` deregisters it, and appended to
+    ``owner`` when given.  Creation, registration and the append form one
+    step with respect to the shutdown handler: a ``SIGTERM`` arriving in
+    between is raised as ``KeyboardInterrupt`` only after the step, and
+    a segment whose step is cut short by an exception is released here.
     """
     global _atexit_registered
-    shm = shared_memory.SharedMemory(create=True, name=_segment_name(), size=size)
-    with _lock:
-        _live[shm.name] = shm
-        if not _atexit_registered:
-            atexit.register(purge_shared_memory)
-            _atexit_registered = True
+    shm = None
+    try:
+        with _interrupts_deferred():
+            shm = shared_memory.SharedMemory(
+                create=True, name=_segment_name(), size=size
+            )
+            with _lock:
+                _live[shm.name] = shm
+                if not _atexit_registered:
+                    atexit.register(purge_shared_memory)
+                    _atexit_registered = True
+            if owner is not None:
+                owner.append(shm)
+    except BaseException:
+        if shm is not None:
+            release_shared_memory(shm)
+        raise
     return shm
 
 
@@ -133,7 +186,9 @@ def install_shutdown_handler(
     :class:`KeyboardInterrupt` instead reuses the exact unwinding path
     Ctrl-C already exercises: ``measure``/``run_batch`` terminate their
     pool and release shared memory in ``finally``, and the campaign
-    server drains.
+    server drains.  Inside :func:`create_shared_memory`'s
+    acquire-and-register step the interrupt is deferred to the step's
+    end.
 
     Only effective from the main thread (signal handlers are a
     main-thread affair); returns the previous handler so callers can
@@ -143,6 +198,9 @@ def install_shutdown_handler(
         return None
 
     def _raise_interrupt(_signum, _frame):
+        if _deferral["depth"]:
+            _deferral["pending"] = _signum
+            return
         raise KeyboardInterrupt(f"signal {_signum}")
 
     return signal.signal(signum, _raise_interrupt)

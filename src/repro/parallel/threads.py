@@ -1,30 +1,27 @@
-"""GIL-free threaded execution substrate for compiled kernel tapes.
+"""GIL-free threaded execution substrate for the plan-path kernels.
 
 The multiprocess runner (:mod:`repro.parallel.runner`) pays spawn, pickle
 and shared-memory costs that only amortize on large meshes.  For the
-compiled tape path there is a zero-pickle alternative: numpy ufuncs
-release the GIL while they crunch, so chunks of element groups replayed
-on a plain :class:`~concurrent.futures.ThreadPoolExecutor` genuinely
+compiled and codegen kernels there is a zero-pickle alternative: numpy
+ufuncs release the GIL while they crunch, so chunks of element groups
+run on a plain :class:`~concurrent.futures.ThreadPoolExecutor` genuinely
 overlap -- no processes, no serialization, shared read-only mesh arrays.
 
 This module owns the thread-level plumbing used by
-:meth:`repro.core.tape.CompiledTape.execute_chunked`:
+:meth:`repro.core.tape.BatchedTape.execute_chunked` and
+:meth:`repro.core.codegen.BatchedGeneratedKernel.execute_chunked` (the
+kernels single-scenario assembly runs too, as ``S = 1`` batches):
 
+* :func:`resolve_num_threads` -- explicit count, ``REPRO_NUM_THREADS``
+  or the CPU count.
 * :func:`get_thread_pool` -- one process-wide pool per thread count,
   reused across assemblies (thread spawn is ~100us; a steady-state
   time-stepper must not pay it per step).
-* :class:`SlabPool` -- preallocated per-thread arena slabs
-  (``(nbufs, chunk_lanes)`` scratch + bool mask), handed out through a
-  queue so each in-flight chunk owns private scratch memory sized to
-  stay cache-resident.
-* :func:`default_chunk_groups` -- the chunk-size heuristic: the largest
-  chunk whose arena slab fits the per-thread share of
-  :data:`TARGET_SLAB_BYTES`, while still producing enough chunks to keep
-  every thread busy.
 
-Determinism: threads only ever *compute* into private slabs and write
-disjoint slices of the tape's shared scatter-values buffer; the single
-``bincount`` reduction runs serially afterwards.  Thread scheduling can
+The kernels stripe their chunks over one preallocated arena slab per
+thread.  Determinism: threads only ever *compute* into private slabs and
+write disjoint slices of the kernel's shared scatter-values buffer; the
+single ``bincount`` reduction runs serially afterwards.  Thread scheduling can
 therefore not change a single bit of the assembled RHS -- the property
 the CI determinism check asserts.
 """
@@ -32,29 +29,17 @@ the CI determinism check asserts.
 from __future__ import annotations
 
 import os
-import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, Optional, Tuple
-
-import numpy as np
+from typing import Dict, Optional
 
 from ..obs.metrics import get_registry
 
 __all__ = [
-    "TARGET_SLAB_BYTES",
-    "SlabPool",
-    "default_chunk_groups",
     "get_thread_pool",
     "resolve_num_threads",
     "shutdown_thread_pools",
 ]
-
-#: Target footprint of one thread's arena slab.  Sized for a mid-level
-#: cache share: big enough that per-op numpy dispatch overhead stays
-#: amortized (hundreds of lanes per ufunc call), small enough that a
-#: slab does not thrash a per-core L2.
-TARGET_SLAB_BYTES = 4 * 1024 * 1024
 
 _pools: Dict[int, ThreadPoolExecutor] = {}
 _pools_lock = threading.Lock()
@@ -91,65 +76,3 @@ def shutdown_thread_pools() -> None:
         for pool in _pools.values():
             pool.shutdown(wait=True)
         _pools.clear()
-
-
-def default_chunk_groups(
-    nbufs: int,
-    vector_dim: int,
-    ngroups: int,
-    num_threads: int,
-) -> int:
-    """Heuristic chunk size (in element groups) for the threaded executor.
-
-    Two pressures pull in opposite directions: small chunks keep every
-    thread's working set (the ``nbufs * chunk_lanes * 8``-byte arena
-    slab) cache-resident and balance load, while large chunks amortize
-    the per-op numpy dispatch overhead that grows linearly with the
-    number of chunks.  The heuristic takes the largest chunk whose slab
-    fits :data:`TARGET_SLAB_BYTES`, then shrinks it if needed so the
-    sweep yields at least ``2 * num_threads`` chunks (load balancing
-    headroom), but never below one group.
-    """
-    nbufs = max(1, int(nbufs))
-    vector_dim = max(1, int(vector_dim))
-    ngroups = max(1, int(ngroups))
-    num_threads = max(1, int(num_threads))
-    lanes_budget = max(vector_dim, TARGET_SLAB_BYTES // (nbufs * 8))
-    by_cache = max(1, lanes_budget // vector_dim)
-    by_balance = max(1, ngroups // (2 * num_threads))
-    return max(1, min(by_cache, by_balance, ngroups))
-
-
-class SlabPool:
-    """Fixed pool of preallocated arena slabs for in-flight chunks.
-
-    Each slab is a private ``(nbufs, lanes)`` float64 scratch arena plus
-    a ``(lanes,)`` bool mask.  Workers :meth:`acquire` a slab before
-    replaying a chunk and :meth:`release` it afterwards; the queue blocks
-    when all slabs are busy, which caps concurrent scratch memory at
-    ``count`` slabs no matter how many chunks are queued.
-    """
-
-    def __init__(self, nbufs: int, lanes: int, count: int) -> None:
-        self.nbufs = int(nbufs)
-        self.lanes = int(lanes)
-        self.count = max(1, int(count))
-        self._queue: "queue.SimpleQueue[Tuple[np.ndarray, np.ndarray]]" = (
-            queue.SimpleQueue()
-        )
-        for _ in range(self.count):
-            self._queue.put(
-                (
-                    np.empty((self.nbufs, self.lanes)),
-                    np.empty(self.lanes, dtype=bool),
-                )
-            )
-        get_registry().counter("locality.slab_bytes_allocated").inc(
-            self.count * (self.nbufs * self.lanes * 8 + self.lanes)
-        )
-
-    def acquire(self) -> Tuple[np.ndarray, np.ndarray]:
-        return self._queue.get()
-
-    def release(self, arena: np.ndarray, mask: np.ndarray) -> None:
-        self._queue.put((arena, mask))

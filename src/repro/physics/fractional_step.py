@@ -609,14 +609,15 @@ class FractionalStepSolver:
     ) -> List[StepReport]:
         """Advance ``steps`` steps with CFL-adaptive (or fixed) dt.
 
-        ``cancel`` is checked *between* steps -- a tripped token raises
+        ``cancel`` is checked *between* steps (never before the first, so
+        a started run always commits one) -- a tripped token raises
         :class:`~repro.resilience.cancel.CooperativeCancel` with solver
         state at the last committed step, so the caller can checkpoint
         or report partial results safely.
         """
         out = []
         for _ in range(steps):
-            if cancel is not None:
+            if cancel is not None and out:
                 cancel.check()
             step_dt = dt if dt is not None else cfl_time_step(
                 self.mesh, self.velocity, cfl
@@ -928,13 +929,14 @@ class BatchCampaign:
         """Advance ``steps`` lockstep steps with a common (CFL-min or
         fixed) dt; returns the per-step lists of scenario reports.
 
-        ``cancel`` is checked between lockstep steps; a tripped token
+        ``cancel`` is checked between lockstep steps (never before the
+        first, so a started campaign always commits one); a tripped token
         raises with every scenario at its last committed step, so
         :meth:`checkpoint` still writes a consistent campaign snapshot.
         """
         out = []
         for _ in range(steps):
-            if cancel is not None:
+            if cancel is not None and out:
                 cancel.check()
             step_dt = dt if dt is not None else min(
                 cfl_time_step(self.mesh, solver.velocity, cfl)

@@ -138,7 +138,9 @@ def element_rhs(
     # eddy viscosity, one value per element (delta^2 = V^(2/3); cbrt keeps
     # bit-compatibility with the scalar kernels)
     delta2 = np.cbrt(vol) ** 2
-    nu_t = eddy_viscosity(params.turbulence_model, g, delta2)
+    nu_t = eddy_viscosity(
+        params.turbulence_model, g, delta2, vreman_c=params.vreman_c
+    )
     mu_eff = params.density * (params.viscosity + nu_t)
 
     rhs = np.zeros_like(uel)
@@ -208,9 +210,11 @@ def kernel_rhs_assembler(
     expects, backed by a :class:`~repro.core.unified.UnifiedAssembler` in
     the chosen ``mode`` (``"compiled"`` replays the plan-cached kernel
     tape -- zero Python-level allocation in steady state; ``"codegen"``
-    runs the plan-cached exec-compiled generated kernel; ``"interpreted"``
-    runs the seed per-group backend).  ``executor="threads"`` (compiled
-    and codegen modes) runs the kernel in cache-sized chunks on a thread pool
+    runs the plan-cached exec-compiled generated kernel; both are the
+    scenario-batched kernel run as a one-scenario batch of ``params``;
+    ``"interpreted"`` runs the seed per-group backend).  The kernel runs
+    in cache-sized chunks; ``executor="threads"`` (compiled and codegen
+    modes) runs the chunks on a thread pool
     -- ``num_threads`` / ``chunk_groups`` pass through to
     :class:`~repro.core.unified.UnifiedAssembler`.  The assembler is
     bound to ``mesh`` and ``params`` at construction; calling it with

@@ -138,9 +138,17 @@ def eddy_viscosity(
     model: TurbulenceModel | int,
     grad: np.ndarray,
     delta2: np.ndarray,
+    vreman_c: float = VREMAN_C,
 ) -> np.ndarray:
-    """Dispatch on the runtime model flag (the baseline's code path)."""
+    """Dispatch on the runtime model flag (the baseline's code path).
+
+    ``vreman_c`` is the runtime Vreman constant (``AssemblyParams.vreman_c``,
+    read by the baseline kernels as the ``vreman_c`` runtime parameter);
+    the other models keep their fixed constants.
+    """
     model = TurbulenceModel(model)
     if model is TurbulenceModel.NONE:
         return np.zeros(np.asarray(grad).shape[:-2])
+    if model is TurbulenceModel.VREMAN:
+        return vreman_viscosity(grad, delta2, vreman_c)
     return _MODELS[model](grad, delta2)

@@ -524,7 +524,12 @@ class CampaignServer:
                     raise ProtocolError(
                         "internal", "injected executor crash"
                     )
-        job.cancel.check()
+        # A campaign checks its token between its own steps and commits
+        # the first one unconditionally, so a dispatched campaign always
+        # reaches a step a drain can checkpoint; other jobs stop here.
+        precheck = req.kind != "campaign"
+        if precheck:
+            job.cancel.check()
         mesh = self.mesh_cache.get(req.mesh)
         params = [
             AssemblyParams(
@@ -550,7 +555,8 @@ class CampaignServer:
             )
         last_error: Optional[Exception] = None
         for mode in modes:
-            job.cancel.check()
+            if precheck:
+                job.cancel.check()
             try:
                 payload = self._execute(req, mesh, params, velocity, mode, job)
             except (CooperativeCancel, _JobCheckpointed):

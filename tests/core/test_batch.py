@@ -354,7 +354,7 @@ def test_batched_byte_residual(small_mesh):
         small_mesh, batch[0], vector_dim=32, mode="compiled",
         profiler=serial_profiler,
     ).assemble("RS", velocity)
-    serial = serial_profiler.profiles[("RS", 32, "compiled", "serial")]
+    serial = serial_profiler.profiles[("RS", 32, "compiled", "serial", 1)]
     nlane = serial.lanes[0] / serial.executions
 
     assert prof.report is not None and prof.report.scenarios == size

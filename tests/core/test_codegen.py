@@ -15,13 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import UnifiedAssembler, variant_names
+from repro.core import ScenarioBatch, UnifiedAssembler, variant_names
 from repro.core.autotune import autotune_vector_dim
 from repro.core.codegen import (
     ElementalGeneratedKernel,
+    batched_generated_kernel,
+    generate_batched_program,
     generate_elemental_program,
-    generate_program,
-    generated_kernel,
 )
 from repro.core.tape import ElementalTape, record_program
 from repro.fem import box_tet_mesh
@@ -111,32 +111,38 @@ def test_codegen_bitwise_with_permutation_and_ordering(small_mesh, params):
 def test_generated_kernel_cached_on_plan(params):
     mesh = box_tet_mesh(3, 3, 3)
     plan = get_plan(mesh)
-    kp = params.as_kernel_params()
-    k1 = generated_kernel(plan, "RSP", 33, kernel_params=kp)
+    k1 = batched_generated_kernel(plan, "RSP", 33, ScenarioBatch([params]))
     hits0 = _count("codegen.cache_hits")
     execs0 = _count("codegen.source_compiles") + _count(
         "codegen.source_reuses"
     )
-    k2 = generated_kernel(plan, "RSP", 33, kernel_params=kp)
-    assert k2 is k1  # plan-cache hit returns the bound kernel itself
+    # a single-scenario assembly is a cache hit on the same S=1 kernel
+    UnifiedAssembler(mesh, params, vector_dim=33, mode="codegen").assemble(
+        "RSP", _velocity(mesh)
+    )
     assert _count("codegen.cache_hits") == hits0 + 1
+    k2 = batched_generated_kernel(plan, "RSP", 33, ScenarioBatch([params]))
+    assert k2 is k1  # plan-cache hit returns the bound kernel itself
+    assert _count("codegen.cache_hits") == hits0 + 2
     # ... and must not touch the source/exec layer at all
     assert (
         _count("codegen.source_compiles") + _count("codegen.source_reuses")
         == execs0
     )
-    k3 = generated_kernel(plan, "RSP", 16, kernel_params=kp)
+    k3 = batched_generated_kernel(plan, "RSP", 16, ScenarioBatch([params]))
     assert k3 is not k1  # different vector_dim -> different kernel
 
 
 def test_codegen_emission_is_deterministic(params):
     """Equal configs emit byte-identical source and reuse the code cache."""
-    kp = params.as_kernel_params()
-    p1 = generate_program("RS", 32, kernel_params=kp)
-    p2 = generate_program("RS", 32, kernel_params=kp)
+    one = ScenarioBatch([params])
+    p1 = generate_batched_program("RS", 32, one)
+    p2 = generate_batched_program("RS", 32, ScenarioBatch([params]))
     assert p1.source == p2.source
     assert p1.stmt_costs == p2.stmt_costs
-    assert generate_program("RS", 64, kernel_params=kp).source != p1.source
+    assert generate_batched_program("RS", 64, one).source != p1.source
+    # S=1 folds every parameter: no scenario-row stage, no (S, n) rows
+    assert p1.param_ops == () and p1.nslab_full == 0
 
 
 def test_codegen_invalidated_by_fix_orientation(params):
@@ -179,8 +185,8 @@ def test_elemental_program_pickles_to_identical_source(params):
 
 def test_codegen_dump_flag_writes_source(params, tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CODEGEN_DUMP", str(tmp_path))
-    generate_program("RS", 8, kernel_params=params.as_kernel_params())
-    dumped = tmp_path / "RS_vd8.py"
+    generate_batched_program("RS", 8, ScenarioBatch([params]))
+    dumped = tmp_path / "RS_vd8_S1.py"
     assert dumped.exists()
     text = dumped.read_text()
     assert "def factory(" in text and "def setup(" in text
@@ -191,7 +197,7 @@ def test_codegen_dump_flag_writes_source(params, tmp_path, monkeypatch):
 
 def test_codegen_report_reflects_fusion(params):
     kp = params.as_kernel_params()
-    gen = generate_program("B", 64, kernel_params=kp)
+    gen = generate_batched_program("B", 64, ScenarioBatch([params]))
     replay = record_program("B", kp)
     # fused regions eliminate intermediates: fewer live buffers than the
     # 211-buffer replay arena
@@ -216,8 +222,8 @@ def test_codegen_profiled_run_keeps_bits_and_attributes_fusion(
     )
     interp = UnifiedAssembler(small_mesh, params, vector_dim=32)
     assert np.array_equal(gen.assemble("RS", u), interp.assemble("RS", u))
-    prof = profiler.profiles[("RS", 32, "codegen", "serial")]
-    program = generate_program("RS", 32, kernel_params=params.as_kernel_params())
+    prof = profiler.profiles[("RS", 32, "codegen", "serial", 1)]
+    program = generate_batched_program("RS", 32, ScenarioBatch([params]))
     assert len(prof.labels) == len(program.stmt_costs)
     # a fused statement reports the summed costs of its constituents,
     # labelled <root>+<k>

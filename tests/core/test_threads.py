@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    ScenarioBatch,
     UnifiedAssembler,
     autotune_chunk_groups,
-    compiled_tape,
+    batched_tape,
 )
 from repro.fem import box_tet_mesh, get_plan
-from repro.parallel import default_chunk_groups, resolve_num_threads
-from repro.parallel.threads import SlabPool
+from repro.parallel import resolve_num_threads
 
 
 @pytest.fixture()
@@ -28,28 +28,6 @@ def test_resolve_num_threads_explicit_wins(monkeypatch):
     assert resolve_num_threads() == 3
     monkeypatch.delenv("REPRO_NUM_THREADS")
     assert resolve_num_threads() >= 1
-
-
-def test_default_chunk_groups_bounds():
-    # never more groups than exist, never below one
-    assert default_chunk_groups(10, 64, 7, 4) <= 7
-    assert default_chunk_groups(10**6, 4096, 100, 64) >= 1
-    # cache pressure shrinks the chunk as buffers grow
-    small = default_chunk_groups(4, 64, 10**6, 1)
-    large = default_chunk_groups(400, 64, 10**6, 1)
-    assert large <= small
-
-
-def test_slab_pool_recycles_buffers():
-    pool = SlabPool(nbufs=3, lanes=8, count=2)
-    a1 = pool.acquire()
-    a2 = pool.acquire()
-    assert a1[0].shape == (3, 8) and a1[1].shape == (8,)
-    pool.release(*a1)
-    a3 = pool.acquire()
-    assert a3[0] is a1[0]
-    pool.release(*a2)
-    pool.release(*a3)
 
 
 def test_unified_rejects_threads_outside_compiled(small_mesh, params):
@@ -92,9 +70,8 @@ def test_threaded_runs_are_deterministic(small_mesh, params, small_velocity):
 
 
 def test_execute_chunked_direct_matches_execute(small_mesh, params, small_velocity):
-    tape = compiled_tape(
-        get_plan(small_mesh), "RSP", 16,
-        kernel_params=params.as_kernel_params(),
+    tape = batched_tape(
+        get_plan(small_mesh), "RSP", 16, ScenarioBatch([params])
     )
     base = tape.execute(small_velocity)
     for cg in (1, 2, 1000):

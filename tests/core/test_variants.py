@@ -230,3 +230,20 @@ def test_baseline_has_branches_specialized_none(traces):
 def test_specialized_arrays_are_static(traces):
     assert all(t.static for t in traces["RSP"].temps.values())
     assert not any(t.static for t in traces["B"].temps.values())
+
+
+@pytest.mark.parametrize("vreman_c", [0.0, 0.2])
+@pytest.mark.parametrize("mode", ["interpreted", "compiled", "codegen"])
+def test_generic_variants_honour_runtime_vreman_c(small_mesh, mode, vreman_c):
+    """B and P read the Vreman constant at run time; the vectorized
+    reference must use the same constant, not the module default."""
+    params = AssemblyParams(body_force=(0.05, -0.1, 0.2), vreman_c=vreman_c)
+    u = 0.3 * np.random.default_rng(9).standard_normal((small_mesh.nnode, 3))
+    ref = assemble_momentum_rhs(small_mesh, u, params)
+    default = assemble_momentum_rhs(
+        small_mesh, u, AssemblyParams(body_force=params.body_force)
+    )
+    assert not np.allclose(ref, default, rtol=1e-6)  # the constant matters
+    asm = UnifiedAssembler(small_mesh, params, vector_dim=16, mode=mode)
+    for name in ("B", "P"):
+        assert np.allclose(asm.assemble(name, u), ref, rtol=1e-11, atol=1e-13)

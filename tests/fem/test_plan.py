@@ -358,3 +358,35 @@ def test_accumulator_rejects_out_of_order_reuse(small_mesh):
     acc2.add(1, 0, np.ones(groups[0].vector_dim))  # different slot
     with pytest.raises(RuntimeError, match="scatter pattern"):
         acc2.finalize(np.zeros((small_mesh.nnode, 3)))
+
+
+@pytest.mark.parametrize("mode", ["compiled", "codegen"])
+def test_kernel_store_is_lru_bounded(params, mode):
+    """A stream of fresh body forces records one kernel each; the plan
+    keeps at most ``KERNEL_CACHE_SIZE`` of them, and a kernel in steady
+    use survives the churn."""
+    from repro.core import ScenarioBatch
+    from repro.core.tape import batch_tape_cache_key
+    from repro.fem.plan import KERNEL_CACHE_SIZE
+    from repro.physics import AssemblyParams
+
+    mesh = box_tet_mesh(2, 2, 2)
+    plan = get_plan(mesh)
+    store = plan._tapes if mode == "compiled" else plan._codegen
+    cached = plan.cached_tape if mode == "compiled" else plan.cached_codegen
+    u = 0.1 * np.random.default_rng(3).standard_normal((mesh.nnode, 3))
+    hot = UnifiedAssembler(mesh, params, vector_dim=8, mode=mode)
+    first = hot.assemble("RS", u)
+    key = batch_tape_cache_key("RS", 8, None, ScenarioBatch([params]), "vec")
+    hot_kernel = cached(key)
+    assert hot_kernel is not None
+    for i in range(2 * KERNEL_CACHE_SIZE):
+        fresh = AssemblyParams(body_force=(1e-3 * (i + 1), 0.0, 0.0))
+        UnifiedAssembler(mesh, fresh, vector_dim=8, mode=mode).assemble(
+            "RS", u
+        )
+        assert len(store) <= KERNEL_CACHE_SIZE
+        if i % 8 == 7:
+            assert np.array_equal(hot.assemble("RS", u), first)
+    assert len(store) == KERNEL_CACHE_SIZE
+    assert cached(key) is hot_kernel

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import UnifiedAssembler, variant_names
-from repro.core.tape import compiled_tape
+from repro.core import ScenarioBatch, UnifiedAssembler, variant_names
+from repro.core.tape import batched_tape, record_program
 from repro.fem import box_tet_mesh, get_plan
 from repro.machine import gpu_roofline
 from repro.obs import (
@@ -26,6 +26,7 @@ from repro.obs import (
     profile_trace_events,
     write_flamegraph,
 )
+from repro.obs.profiler import op_costs_from_batch_program
 from repro.physics import AssemblyParams
 
 #: predicted_bytes() is an all-vector upper bound; constant folding turns
@@ -111,7 +112,7 @@ def test_profiled_threads_bitwise_identical(mesh, prof_params, prof_velocity):
     )
     assert np.array_equal(ref, out)
     vd = 32
-    prof = profiler.profiles[("RSP", vd, "compiled", "threads")]
+    prof = profiler.profiles[("RSP", vd, "compiled", "threads", 1)]
     assert prof.executions == 1
     assert prof.total_seconds > 0
 
@@ -132,7 +133,7 @@ def test_measured_bytes_match_predicted(
         mesh, prof_params, prof_velocity, variant, 64, mode="compiled",
         profiler=profiler,
     )
-    prof = profiler.profiles[(variant, 64, "compiled", "serial")]
+    prof = profiler.profiles[(variant, 64, "compiled", "serial", 1)]
     assert prof.report is not None and prof.executions == 1
     nlane = prof.lanes[0] / prof.executions
     predicted = prof.report.predicted_bytes(nlane)
@@ -161,8 +162,8 @@ def test_interpreted_traffic_exceeds_compiled(mesh, prof_params, prof_velocity):
         mesh, prof_params, prof_velocity, "RS", 64, mode="interpreted",
         profiler=profiler,
     )
-    compiled = profiler.profiles[("RS", 64, "compiled", "serial")]
-    interp = profiler.profiles[("RS", 64, "interpreted", "serial")]
+    compiled = profiler.profiles[("RS", 64, "compiled", "serial", 1)]
+    interp = profiler.profiles[("RS", 64, "interpreted", "serial", 1)]
     assert interp.total_bytes > compiled.total_bytes
     # dynamic slots converged: no unfilled placeholders remain
     assert "?" not in interp.kinds
@@ -174,25 +175,33 @@ def test_interpreted_traffic_exceeds_compiled(mesh, prof_params, prof_velocity):
 
 
 def test_op_costs_from_program(mesh, prof_params):
-    tape = compiled_tape(
-        get_plan(mesh), "RSP", 32,
-        kernel_params=prof_params.as_kernel_params(),
+    """Cost tables of the worker tape and of the plan-path S=1 kernel
+    agree with their reports, op kind by op kind."""
+    program = record_program("RSP", prof_params.as_kernel_params())
+    tape = batched_tape(
+        get_plan(mesh), "RSP", 32, ScenarioBatch([prof_params])
     )
-    costs = op_costs_from_program(tape.program)
-    assert len(costs) == len(tape.program.ops)
-    kinds = {kind for kind, *_ in costs}
-    assert kinds <= {"bin", "un", "sel", "gather", "scatter"}
-    for kind, label, rb, wb, fl in costs:
-        assert wb > 0  # every op writes its output
-        assert rb >= 0 and fl >= 0
-        assert label
-    # report op counts agree with the cost table's kinds
-    r = tape.report
-    assert sum(1 for k, *_ in costs if k == "bin") == r.binary_ops
-    assert sum(1 for k, *_ in costs if k == "un") == r.unary_ops
-    assert sum(1 for k, *_ in costs if k == "sel") == r.select_ops
-    assert sum(1 for k, *_ in costs if k == "gather") == r.gather_ops
-    assert sum(1 for k, *_ in costs if k == "scatter") == r.scatter_calls
+    for costs, prog in (
+        (op_costs_from_program(program), program),
+        (op_costs_from_batch_program(tape.program), tape.program),
+    ):
+        assert len(costs) == len(prog.ops)
+        kinds = {kind for kind, *_ in costs}
+        assert kinds <= {"bin", "un", "sel", "gather", "scatter"}
+        for kind, label, rb, wb, fl in costs:
+            assert wb > 0  # every op writes its output
+            assert rb >= 0 and fl >= 0
+            assert label
+        # report op counts agree with the cost table's kinds
+        r = prog.report
+        assert sum(1 for k, *_ in costs if k == "bin") == r.binary_ops
+        assert sum(1 for k, *_ in costs if k == "un") == r.unary_ops
+        assert sum(1 for k, *_ in costs if k == "sel") == r.select_ops
+        assert sum(1 for k, *_ in costs if k == "gather") == r.gather_ops
+        assert sum(1 for k, *_ in costs if k == "scatter") == r.scatter_calls
+    # one lowering: the S=1 kernel keeps exactly the worker tape's op mix
+    assert tape.report.binary_ops == program.report.binary_ops
+    assert tape.report.gather_ops == program.report.gather_ops
 
 
 # ---------------------------------------------------------------------------
@@ -206,14 +215,13 @@ def test_unprofiled_assembler_records_nothing(mesh, prof_params, prof_velocity):
     profiler = TapeProfiler()
     _assemble(mesh, prof_params, prof_velocity, "RS", 16,
               mode="compiled", profiler=profiler)
-    prof = profiler.profiles[("RS", 16, "compiled", "serial")]
+    prof = profiler.profiles[("RS", 16, "compiled", "serial", 1)]
     executions_before = prof.executions
     # same mesh + variant + vector_dim -> same cached tape, no profiler
     _assemble(mesh, prof_params, prof_velocity, "RS", 16, mode="compiled")
     assert prof.executions == executions_before
-    tape = compiled_tape(
-        get_plan(mesh), "RS", 16,
-        kernel_params=prof_params.as_kernel_params(),
+    tape = batched_tape(
+        get_plan(mesh), "RS", 16, ScenarioBatch([prof_params])
     )
     assert tape.profiler is NULL_PROFILER
 
@@ -226,7 +234,7 @@ def test_null_profiler_contract():
     null.merge([])  # no-op
     null.publish(MetricsRegistry())  # no-op
     with pytest.raises(RuntimeError):
-        null.for_program(None, 8)
+        null.for_batch_program(None, 8)
     with pytest.raises(RuntimeError):
         null.for_kernel("RS", 8)
     with pytest.raises(RuntimeError):
@@ -281,7 +289,7 @@ def test_profiler_merge_folds_worker_snapshots():
         prof = w._get(("RS", 8, "compiled", "worker"), _toy_profile)
         assert prof.executions == 1
         parent.merge(w.snapshot())
-    merged = parent.profiles[("RS", 8, "compiled", "serial")]
+    merged = parent.profiles[("RS", 8, "compiled", "serial", 1)]
     assert merged.executions == 3
     assert merged.calls[0] == 3
 
@@ -311,7 +319,7 @@ def test_phase_breakdown_orders_and_sums(mesh, prof_params, prof_velocity):
     profiler = TapeProfiler()
     _assemble(mesh, prof_params, prof_velocity, "RSPR", 64,
               mode="compiled", profiler=profiler)
-    prof = profiler.profiles[("RSPR", 64, "compiled", "serial")]
+    prof = profiler.profiles[("RSPR", 64, "compiled", "serial", 1)]
     phases = prof.phases()
     assert set(phases) <= {"gather", "compute", "select", "store",
                            "scatter", "flush"}
@@ -332,7 +340,7 @@ def test_roofline_point_and_attribution(mesh, prof_params, prof_velocity):
     profiler = TapeProfiler()
     _assemble(mesh, prof_params, prof_velocity, "RSP", 64,
               mode="compiled", profiler=profiler)
-    prof = profiler.profiles[("RSP", 64, "compiled", "serial")]
+    prof = profiler.profiles[("RSP", 64, "compiled", "serial", 1)]
     point = prof.roofline_point()
     assert point.label == "RSP"
     assert point.intensity == pytest.approx(prof.intensity)

@@ -111,6 +111,60 @@ def test_close_is_idempotent_and_completed_sweep_is_clean():
 
 
 # ---------------------------------------------------------------------------
+# SIGTERM in the acquire-to-protect window: deterministic, nothing leaks
+# ---------------------------------------------------------------------------
+
+def _measure():
+    MultiprocessRunner(box_tet_mesh(2, 2, 2), AssemblyParams(),
+                       repeats=1).measure([1])
+
+
+def _run_batch():
+    mesh = box_tet_mesh(2, 2, 2)
+    batch = [AssemblyParams(viscosity=v) for v in (1e-3, 2e-3)]
+    runner = MultiprocessRunner(mesh, batch[0], assembly_mode="compiled",
+                                variant="RS")
+    runner.run_batch(batch, workers=2, velocity=np.zeros((mesh.nnode, 3)))
+
+
+@pytest.mark.parametrize("site, nth", [
+    (create_shared_memory, 1),
+    (_measure, 1), (_measure, 2),
+    (_run_batch, 1), (_run_batch, 2), (_run_batch, 3),
+])
+def test_sigterm_right_after_segment_creation_leaks_nothing(
+    monkeypatch, site, nth
+):
+    """SIGTERM lands the moment the ``nth`` ``SharedMemory(create=True)``
+    returns, before the segment is registered or bound: the interrupt
+    still surfaces, and no ``/dev/shm`` segment survives it."""
+    from multiprocessing import shared_memory
+
+    real = shared_memory.SharedMemory
+    created = []
+
+    def interrupted(*args, **kwargs):
+        shm = real(*args, **kwargs)
+        if kwargs.get("create"):
+            created.append(shm.name)
+            if len(created) == nth:
+                os.kill(os.getpid(), signal.SIGTERM)
+        return shm
+
+    monkeypatch.setattr(shared_memory, "SharedMemory", interrupted)
+    previous = install_shutdown_handler()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            site(64) if site is create_shared_memory else site()
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    assert len(created) == nth
+    assert live_segment_names() == []
+    for name in created:
+        assert not os.path.exists(f"/dev/shm/{name}")
+
+
+# ---------------------------------------------------------------------------
 # SIGTERM mid-sweep in a real subprocess: nothing leaks
 # ---------------------------------------------------------------------------
 

@@ -101,6 +101,19 @@ def test_ladder_validates_and_stays_on_codegen(mesh, velocity, params):
     assert registry.snapshot()["resilience.validations"]["value"] == 1.0
 
 
+def test_baseline_ladder_stays_on_codegen_at_runtime_vreman_c(mesh, velocity):
+    """Variant B reads the Vreman constant at run time, and so does the
+    validating reference: a non-default constant validates on rung 0."""
+    params = AssemblyParams(body_force=(0.05, -0.1, 0.2), vreman_c=0.2)
+    asm = ResilientAssembler(
+        mesh, params, variant="B", metrics=MetricsRegistry()
+    )
+    rhs = asm(mesh, 10.0 * velocity, params)
+    assert asm.mode == "codegen"
+    ref = assemble_momentum_rhs(mesh, 10.0 * velocity, params)
+    assert np.allclose(rhs, ref, rtol=1e-8, atol=1e-12)
+
+
 def test_corrupted_kernel_degrades_to_compiled(mesh, velocity, params):
     registry = MetricsRegistry()
     tracer = Tracer()
