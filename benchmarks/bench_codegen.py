@@ -39,7 +39,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro.core import ScenarioBatch, UnifiedAssembler, variant_names  # noqa: E402
 from repro.core.codegen import batched_generated_kernel  # noqa: E402
-from repro.core.tape import record_program  # noqa: E402
+from repro.core.tape import batched_tape  # noqa: E402
 from repro.fem import box_tet_mesh, get_plan  # noqa: E402
 from repro.physics import AssemblyParams  # noqa: E402
 
@@ -85,7 +85,9 @@ def codegen_timings(mesh, params, velocity, variant, vector_dim=VECTOR_DIM,
         get_plan(mesh), variant, vector_dim, ScenarioBatch([params])
     )
     report = kern.program.report
-    replay_report = record_program(variant, params.as_kernel_params()).report
+    replay_report = batched_tape(
+        get_plan(mesh), variant, vector_dim, ScenarioBatch([params])
+    ).program.report
     return {
         "benchmark": "codegen",
         "variant": variant,

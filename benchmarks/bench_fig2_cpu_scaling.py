@@ -1,8 +1,8 @@
 """Figure 2: CPU strong scaling (Melem/s vs workers) with turbo-bin kinks.
 
 The machine-model curve reproduces the paper's figure for the dual Icelake;
-an optional real multiprocessing measurement exercises the trivially
-parallel elemental assembly on this machine.
+a real multiprocessing measurement per assembly mode exercises the
+trivially parallel element assembly on this machine.
 
 Run:  pytest benchmarks/bench_fig2_cpu_scaling.py --benchmark-only -s
 """
@@ -52,15 +52,21 @@ def test_bench_scaling_curve(benchmark, study):
     benchmark(study.cpu_scaling, ["RSP"], WORKERS)
 
 
-def test_real_multiprocessing_point(bench_mesh, bench_params, capsys):
-    """One real 2-process scaling measurement (kept tiny for CI)."""
-    runner = MultiprocessRunner(bench_mesh, bench_params, repeats=1)
+@pytest.mark.parametrize("assembly_mode", ["reference", "compiled", "codegen"])
+def test_real_multiprocessing_point(
+    bench_mesh, bench_params, capsys, assembly_mode
+):
+    """One real 2-process scaling measurement per assembly mode (kept tiny
+    for CI): every rank runs the serial assembly of its chunk mesh."""
+    runner = MultiprocessRunner(
+        bench_mesh, bench_params, repeats=1, assembly_mode=assembly_mode
+    )
     points = runner.measure([1, 2])
     with capsys.disabled():
         print()
         for p in points:
             print(
-                f"real scaling: {p.workers} workers  "
+                f"real scaling [{assembly_mode}]: {p.workers} workers  "
                 f"{p.wall_seconds*1e3:7.1f} ms  {p.melem_per_s:7.2f} Melem/s  "
                 f"speedup {p.speedup:.2f}"
             )

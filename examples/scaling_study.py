@@ -3,8 +3,9 @@
 
 1. The machine model's turbo-binned curve for the paper's dual Icelake
    (3.4 GHz up to 17 workers, then 3.1, then 2.6 -- the kinks in Fig. 2).
-2. A real multiprocessing measurement of the trivially-parallel elemental
-   assembly on *this* machine.
+2. A real multiprocessing measurement of the trivially-parallel momentum
+   assembly on *this* machine: every rank runs the serial assembly of its
+   element chunk's sub-mesh, as Alya's MPI ranks do.
 
 Run:  python examples/scaling_study.py [--real]
 """

@@ -27,22 +27,16 @@ from .variants import VARIANTS, Variant, get_variant, variant_names
 from .tape import (
     BatchTapeProgram,
     BatchedTape,
-    ElementalTape,
     RecordingBackend,
-    TapeProgram,
     TapeReport,
     batched_tape,
     record_batch_program,
-    record_program,
 )
 from .codegen import (
     BatchedCodegenProgram,
     BatchedGeneratedKernel,
-    ElementalCodegenProgram,
-    ElementalGeneratedKernel,
     batched_generated_kernel,
     generate_batched_program,
-    generate_elemental_program,
 )
 from .batch import ScenarioBatch
 from .unified import (
@@ -69,13 +63,11 @@ __all__ = [
     "make_specialized_kernel", "rs_kernel", "rsp_kernel", "rspr_kernel",
     "SPEC_DENSITY", "SPEC_VISCOSITY", "SPEC_VREMAN_C",
     "VARIANTS", "Variant", "get_variant", "variant_names",
-    "BatchTapeProgram", "BatchedTape", "ElementalTape",
-    "RecordingBackend", "TapeProgram", "TapeReport", "batched_tape",
-    "record_batch_program", "record_program",
+    "BatchTapeProgram", "BatchedTape",
+    "RecordingBackend", "TapeReport", "batched_tape",
+    "record_batch_program",
     "BatchedCodegenProgram", "BatchedGeneratedKernel",
-    "ElementalCodegenProgram", "ElementalGeneratedKernel",
-    "batched_generated_kernel",
-    "generate_batched_program", "generate_elemental_program",
+    "batched_generated_kernel", "generate_batched_program",
     "ScenarioBatch",
     "CPU_VECTOR_DIM", "GPU_VECTOR_DIM", "SpecializationError",
     "UnifiedAssembler",

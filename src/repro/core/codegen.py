@@ -17,7 +17,7 @@ rows.
 Lowering pipeline (all passes operate on the recorder's SSA op list):
 
 1. **DCE** backwards from the scatter roots (same algorithm as
-   :func:`~repro.core.tape.compile_tape`).
+   :func:`~repro.core.tape.compile_batch_tape`).
 2. **CSE** with structural keys; scalar operands key on their exact
    ``float64`` bits (``tobytes``), never on Python ``float`` equality,
    so ``-0.0``/``0.0`` are not merged and bit-identity survives.
@@ -53,12 +53,13 @@ embedded via ``repr(float(x))`` -- shortest round-trip repr is exact for
 float64 -- with non-finite values spelled ``float('inf')`` etc.
 
 Generated source is fully deterministic (all set iterations are sorted),
-so a pickled :class:`ElementalCodegenProgram` rebuilds byte-identical
-source in every pool worker and the module-level code cache
-(:data:`_CODE_CACHE`) guarantees a cache hit never re-``exec``\\ s.
+so every plan that lowers the same kernel -- including each chunk mesh a
+multiprocess worker builds -- emits byte-identical source, and the
+module-level code cache (:data:`_CODE_CACHE`) guarantees a cache hit
+never re-``compile``\\ s.
 
 Set ``REPRO_CODEGEN_DUMP=<dir>`` to dump every generated module to
-``<dir>/<variant>_vd<N>_S<S>.py`` / ``<dir>/<variant>_elemental.py``.
+``<dir>/<variant>_vd<N>_S<S>.py``.
 """
 
 from __future__ import annotations
@@ -79,7 +80,6 @@ from .dsl import KernelContext
 from .tape import (
     BatchRecordingBackend,
     BoundKernel,
-    RecordingBackend,
     TapeReport,
     _UFUNC_NAMES,
     _event,
@@ -92,11 +92,8 @@ from .variants import get_variant
 __all__ = [
     "MAX_FUSE_DEPTH",
     "BatchedCodegenProgram",
-    "ElementalCodegenProgram",
     "BatchedGeneratedKernel",
-    "ElementalGeneratedKernel",
     "generate_batched_program",
-    "generate_elemental_program",
     "batched_generated_kernel",
 ]
 
@@ -251,9 +248,8 @@ def _schedule(
     """Reorder one partition's compute ops depth-first from its scatter
     roots (then ``extra_roots`` -- pinned values not reachable from the
     partition's own scatters).  Scatters keep their original relative
-    order, so the deferred values buffer is filled in call order and the
-    elemental flavour preserves ``+=`` accumulation order.  Pure SSA
-    value definitions commute, so reordering cannot change bits."""
+    order, so the deferred values buffer is filled in call order.  Pure
+    SSA value definitions commute, so reordering cannot change bits."""
     sched: List[tuple] = []
     emitted: Set[int] = set()
     opened: Set[int] = set()
@@ -363,15 +359,21 @@ def _statements(
 
 
 def _assign_rows(
-    stmts: List[_Stmt], is_external: Callable[[int], bool]
-) -> Tuple[Dict[int, int], int]:
-    """Statement-level linear-scan slab allocation (LIFO free list).
+    stmts: List[_Stmt],
+    is_external: Callable[[int], bool],
+    rank_of: Callable[[int], str] = lambda r: "vec",
+) -> Tuple[Dict[int, int], int, int]:
+    """Statement-level linear-scan slab allocation (LIFO free lists).
 
     Dying operands release their row *before* the output is placed, so
     in-place ``out=`` aliasing happens naturally -- safe because every
     emitted form either is an elementwise ufunc over direct operands or
     (``where`` selects, fused sub-expressions) fully evaluates its
-    arguments into temporaries before the destination is written.
+    arguments into temporaries before the destination is written.  There
+    is one free list per rank pool -- rank-1 rows and ``(S, n)`` rows --
+    so a released rank-1 row is never handed to a full-rank output and
+    aliasing stays confined to same-shape rows.  Returns the row of every
+    internal value and the two pools' row counts.
     """
     last: Dict[int, int] = {}
     for j, st in enumerate(stmts):
@@ -379,21 +381,22 @@ def _assign_rows(
             if not is_external(r):
                 last[r] = j
     row_of: Dict[int, int] = {}
-    free: List[int] = []
-    nrows = 0
+    free: Dict[str, List[int]] = {"vec": [], "full": []}
+    nrows = {"vec": 0, "full": 0}
     for j, st in enumerate(stmts):
         for r in sorted(set(st.leaves)):
             if not is_external(r) and last.get(r) == j:
-                free.append(row_of[r])
+                free[rank_of(r)].append(row_of[r])
         if st.op[0] != "sc":
             out = st.op[-1]
             if not is_external(out):
-                if free:
-                    row_of[out] = free.pop()
+                pool = rank_of(out)
+                if free[pool]:
+                    row_of[out] = free[pool].pop()
                 else:
-                    row_of[out] = nrows
-                    nrows += 1
-    return row_of, nrows
+                    row_of[out] = nrows[pool]
+                    nrows[pool] += 1
+    return row_of, nrows["vec"], nrows["full"]
 
 
 # ---------------------------------------------------------------------------
@@ -416,65 +419,54 @@ def _expr(
     prod: Dict[int, tuple],
     fused: Set[int],
     name_of: Callable[[int], str],
-    scratch: Optional[List[int]] = None,
+    rank_of: Optional[Callable[[int], str]] = None,
+    scratch: Optional[Dict[str, int]] = None,
 ) -> str:
     """Render a ref as an expression, inlining fused producers.
 
-    With ``scratch`` (a one-element counter), fused binary/unary nodes
-    write into dedicated scratch rows via ``out=`` -- ufuncs return their
+    With ``scratch`` (per-pool counters), fused binary/unary nodes write
+    into dedicated scratch rows via ``out=`` -- ufuncs return their
     ``out`` array, so the calls still compose as expressions but stop
-    allocating a temporary per node.  Scratch rows are unique within one
-    statement (the counter resets per statement), so sibling subtrees can
-    never clobber each other before the parent reads them; values are
-    identical either way, so bit-identity is untouched.  Fused selects
-    stay ``where(...)`` (no ``out=`` support; it allocates regardless).
+    allocating a temporary per node.  Rows are drawn from the pool of the
+    node's *own* rank (``tv*`` rank-1, ``tf*`` full), so a shared-geometry
+    subtree inside a per-scenario statement still computes once per
+    batch.  Scratch rows are unique within one statement (the counters
+    reset per statement), so sibling subtrees can never clobber each
+    other before the parent reads them; values are identical either way,
+    so bit-identity is untouched.  Fused selects stay ``where(...)`` (no
+    ``out=`` support; it allocates regardless).
     """
     if _is_scalar(r):
         return _lit(r)
-    if r in fused:
-        op = prod[r]
-        tag = op[0]
-        out = ""
-        if scratch is not None and tag in ("bin", "un"):
-            out = f", out=t{scratch[0]}"
-            scratch[0] += 1
-        if tag == "bin":
-            return (
-                f"{_UFUNC_NAMES[op[1]]}"
-                f"({_expr(op[2], prod, fused, name_of, scratch)}, "
-                f"{_expr(op[3], prod, fused, name_of, scratch)}{out})"
-            )
-        if tag == "un":
-            return (
-                f"{_UFUNC_NAMES[op[1]]}"
-                f"({_expr(op[2], prod, fused, name_of, scratch)}{out})"
-            )
-        # sel: pure selection, arguments evaluated before any write
-        return (
-            f"where(greater({_expr(op[1], prod, fused, name_of, scratch)}, "
-            f"{_lit(op[4])}), {_expr(op[2], prod, fused, name_of, scratch)}, "
-            f"{_expr(op[3], prod, fused, name_of, scratch)})"
-        )
-    return name_of(r)
-
-
-def _render_mesh(
-    st: _Stmt,
-    prod: Dict[int, tuple],
-    fused: Set[int],
-    name_of: Callable[[int], str],
-    scatter_dst: Callable[[int], str],
-    gather_src: Callable[[tuple], str],
-    vd: int,
-    scratch: Optional[List[int]] = None,
-) -> str:
-    """One mesh-wide statement (setup or body flavour)."""
-    op = st.op
+    if r not in fused:
+        return name_of(r)
+    op = prod[r]
     tag = op[0]
+    out = ""
+    if scratch is not None and tag in ("bin", "un"):
+        pool = rank_of(r)
+        out = f", out={'tv' if pool == 'vec' else 'tf'}{scratch[pool]}"
+        scratch[pool] += 1
 
-    def ex(r):
-        return _expr(r, prod, fused, name_of, scratch)
+    def ex(q):
+        return _expr(q, prod, fused, name_of, rank_of, scratch)
 
+    if tag == "bin":
+        return f"{_UFUNC_NAMES[op[1]]}({ex(op[2])}, {ex(op[3])}{out})"
+    if tag == "un":
+        return f"{_UFUNC_NAMES[op[1]]}({ex(op[2])}{out})"
+    # sel: pure selection, arguments evaluated before any write
+    return (
+        f"where(greater({ex(op[1])}, {_lit(op[4])}), "
+        f"{ex(op[2])}, {ex(op[3])})"
+    )
+
+
+def _render_compute(
+    op: tuple, ex: Callable[[object], str], name_of: Callable[[int], str]
+) -> str:
+    """One ``bin``/``un``/``sel`` statement writing ``name_of(out)``."""
+    tag = op[0]
     if tag == "bin":
         return (
             f"{_UFUNC_NAMES[op[1]]}({ex(op[2])}, {ex(op[3])}, "
@@ -482,55 +474,32 @@ def _render_mesh(
         )
     if tag == "un":
         return f"{_UFUNC_NAMES[op[1]]}({ex(op[2])}, out={name_of(op[3])})"
-    if tag == "sel":
-        return (
-            f"copyto({name_of(op[5])}, where(greater({ex(op[1])}, "
-            f"{_lit(op[4])}), {ex(op[2])}, {ex(op[3])}))"
-        )
-    if tag in ("gc", "gf"):
-        return gather_src(op)
-    # sc
-    dst = scatter_dst(op[1])
-    src = op[4]
-    if _is_scalar(src):
-        return f"{dst}[...] = {_lit(src)}"
-    return f"copyto({dst}, {ex(src)}.reshape(-1, {vd}))"
+    return (
+        f"copyto({name_of(op[5])}, where(greater({ex(op[1])}, "
+        f"{_lit(op[4])}), {ex(op[2])}, {ex(op[3])}))"
+    )
 
 
-def _emit_block(lines: List[str], stmts: List[str], indent: str,
-                timed: bool) -> None:
+def _emit_block(
+    lines: List[str],
+    stmts: List[str],
+    indent: str,
+    lanevars: Optional[List[str]] = None,
+) -> None:
+    """Append ``stmts``; with ``lanevars`` each one is timed and recorded
+    over its lane count (the profiled twin)."""
     if not stmts:
         lines.append(f"{indent}pass")
         return
-    if not timed:
+    if lanevars is None:
         for s in stmts:
             lines.append(f"{indent}{s}")
         return
-    # timer binding must not collide with scratch rows t0, t1, ...
-    for i, s in enumerate(stmts):
+    # timer binding must not collide with scratch rows tv0, tf0, ...
+    for i, (s, lv) in enumerate(zip(stmts, lanevars)):
         lines.append(f"{indent}_t = clock()")
         lines.append(f"{indent}{s}")
-        lines.append(f"{indent}rec({i}, clock() - _t, n)")
-
-
-def _op_cost(op: tuple) -> Tuple[float, float, float]:
-    """Per-lane (bytes read, bytes written, flops) of one SSA op --
-    mirrors :func:`repro.obs.profiler.op_costs_from_program`."""
-    tag = op[0]
-    if tag == "bin":
-        nvec = sum(1 for r in (op[2], op[3]) if not _is_scalar(r))
-        return (nvec * 8.0, 8.0, 1.0)
-    if tag == "un":
-        nvec = 0 if _is_scalar(op[2]) else 1
-        return (nvec * 8.0, 8.0, 1.0)
-    if tag == "sel":
-        nvec = sum(1 for r in (op[1], op[2], op[3]) if not _is_scalar(r))
-        return (nvec * 8.0 + 1.0, 9.0, 1.0)
-    if tag in ("gc", "gf"):
-        return (16.0, 8.0, 0.0)
-    # sc
-    nvec = 0 if _is_scalar(op[4]) else 1
-    return (nvec * 8.0, 8.0, 0.0)
+        lines.append(f"{indent}rec({i}, clock() - _t, {lv})")
 
 
 _ROOT_KINDS = {"bin": "bin", "un": "un", "sel": "sel",
@@ -550,64 +519,9 @@ def _root_label(op: tuple) -> str:
     return f"rhs[{op[2]},{op[3]}]"
 
 
-def _stmt_costs(stmts: List[_Stmt]) -> Tuple[tuple, ...]:
-    """Per-statement ``(kind, label, rb, wb, fl)`` profiler cost slots.
-
-    A fused statement reports the *summed* bytes/FLOPs of its constituent
-    ops (the ISSUE's attribution contract), labelled ``<root>+<k>`` for
-    ``k`` inlined ops.
-    """
-    costs: List[tuple] = []
-    for st in stmts:
-        rb = wb = fl = 0.0
-        for op in st.tree:
-            orb, owb, ofl = _op_cost(op)
-            rb += orb
-            wb += owb
-            fl += ofl
-        label = _root_label(st.op)
-        if len(st.tree) > 1:
-            label += f"+{len(st.tree) - 1}"
-        costs.append((_ROOT_KINDS[st.op[0]], label, rb, wb, fl))
-    return tuple(costs)
-
-
 # ---------------------------------------------------------------------------
 # Programs
 # ---------------------------------------------------------------------------
-
-
-@dataclasses.dataclass(frozen=True)
-class ElementalCodegenProgram:
-    """Generated worker-side module: ``elemental(X, U, R, B)`` accumulates
-    ``(n, nnode_per_element, 3)`` contributions exactly like
-    :class:`~repro.core.tape.ElementalTape` (no hoisting -- the setup
-    split would reorder the ``+=`` accumulation), plus the profiled twin
-    ``elemental_timed``."""
-
-    variant: str
-    params_key: Tuple
-    nnode_per_element: int
-    source: str
-    nslab: int
-    stmt_costs: Tuple[tuple, ...]
-    report: TapeReport
-
-
-def _record_ssa(variant_name: str, kernel_params: Dict[str, float],
-                nnode_per_element: int):
-    variant = get_variant(variant_name)
-    ctx = KernelContext(
-        connectivity=np.zeros((1, nnode_per_element), dtype=np.int64),
-        coords=np.zeros((1, 3)),
-        fields={"velocity": np.zeros((1, 3))},
-        rhs=np.zeros((1, 3)),
-        params=dict(kernel_params),
-        nnode_per_element=nnode_per_element,
-    )
-    recorder = RecordingBackend(ctx)
-    variant.kernel(recorder, ctx)
-    return variant, recorder
 
 
 def _make_report(variant: str, recorder, ops: List[tuple], dce_removed: int,
@@ -644,114 +558,6 @@ def _maybe_dump(filename: str, source: str) -> None:
     get_registry().counter("codegen.dumps").inc()
 
 
-def generate_elemental_program(
-    variant_name: str,
-    kernel_params: Optional[Dict[str, float]] = None,
-    nnode_per_element: int = 4,
-) -> ElementalCodegenProgram:
-    """Lower one variant to the worker-side elemental source module.
-
-    No hoisting: the elemental executor accumulates scatters with ``+=``
-    in call order, and a setup/body split would reorder that sum.
-    """
-    kernel_params = dict(kernel_params or {})
-    with get_tracer().span(
-        "codegen.generate_elemental", variant=variant_name.upper()
-    ):
-        variant, recorder = _record_ssa(
-            variant_name, kernel_params, nnode_per_element
-        )
-        ops = _annotate(recorder.ops)
-        live, dce_removed = _dce(ops)
-        ops, cse_removed = _cse(live)
-        prod: Dict[int, tuple] = {
-            op[-1]: op for op in ops if op[0] != "sc"
-        }
-        sched = _schedule(ops, prod)
-        fused = _fuse(sched, exclude=set())
-        stmts = _statements(sched, prod, fused)
-        rows, nslab = _assign_rows(stmts, lambda r: False)
-
-        def name(r: int) -> str:
-            return f"b{rows[r]}"
-
-        def render(st: _Stmt, ctr: List[int]) -> str:
-            op = st.op
-            tag = op[0]
-
-            def ex(r):
-                return _expr(r, prod, fused, name, ctr)
-
-            if tag == "gc":
-                return f"copyto({name(op[3])}, x{op[1]}{op[2]})"
-            if tag == "gf":
-                return f"copyto({name(op[4])}, u{op[2]}{op[3]})"
-            if tag == "sc":
-                rname = f"r{op[2]}{op[3]}"
-                return f"add({rname}, {ex(op[4])}, out={rname})"
-            return _render_mesh(
-                st, prod, fused, name, lambda c: "", lambda o: "", 0,
-                scratch=ctr,
-            )
-
-        stmt_lines: List[str] = []
-        nscratch = 0
-        for st in stmts:
-            ctr = [0]
-            stmt_lines.append(render(st, ctr))
-            nscratch = max(nscratch, ctr[0])
-        nrows = nslab + nscratch
-        x_keys = sorted({
-            (op[1], op[2]) for op in ops if op[0] == "gc"
-        })
-        u_keys = sorted({
-            (op[2], op[3]) for op in ops if op[0] == "gf"
-        })
-        r_keys = sorted({
-            (op[2], op[3]) for op in ops if op[0] == "sc"
-        })
-        prologue = (
-            [f"x{s}{c} = X[:, {s}, {c}]" for s, c in x_keys]
-            + [f"u{s}{c} = U[:, {s}, {c}]" for s, c in u_keys]
-            + [f"r{s}{c} = R[:, {s}, {c}]" for s, c in r_keys]
-            + [f"b{r} = B[{r}]" for r in range(nslab)]
-            + [f"t{k} = B[{nslab + k}]" for k in range(nscratch)]
-        )
-        lines: List[str] = [
-            f"# generated by repro.core.codegen -- do not edit",
-            f"# variant={variant.name} elemental "
-            f"stmts={len(stmts)} slab_rows={nrows} fused={len(fused)}",
-            "",
-            "",
-            "def elemental(X, U, R, B):",
-        ]
-        for p in prologue:
-            lines.append(f"    {p}")
-        _emit_block(lines, stmt_lines, "    ", timed=False)
-        lines += ["", "", "def elemental_timed(X, U, R, B, clock, rec, n):"]
-        for p in prologue:
-            lines.append(f"    {p}")
-        _emit_block(lines, stmt_lines, "    ", timed=True)
-        source = "\n".join(lines) + "\n"
-
-        report = _make_report(
-            variant.name, recorder, ops, dce_removed, cse_removed,
-            hoisted=0, fused=len(fused), nslab=nrows, npinned=0,
-        )
-        program = ElementalCodegenProgram(
-            variant=variant.name,
-            params_key=tuple(sorted(kernel_params.items())),
-            nnode_per_element=nnode_per_element,
-            source=source,
-            nslab=nrows,
-            stmt_costs=_stmt_costs(stmts),
-            report=report,
-        )
-    get_registry().counter("codegen.generates").inc()
-    _maybe_dump(f"{variant.name}_elemental.py", source)
-    return program
-
-
 # ---------------------------------------------------------------------------
 # exec-compilation (module-level source cache)
 # ---------------------------------------------------------------------------
@@ -761,8 +567,9 @@ def _load(source: str, filename: str) -> Dict[str, object]:
     """Exec a generated module into a fresh namespace.
 
     The compiled code object is cached on the exact source string, so a
-    plan-cache hit (or a worker re-shipping the same program) never pays
-    ``compile`` twice in one process.
+    plan-cache hit (or a fresh plan generating the identical kernel, as
+    every chunk mesh of a multiprocess sweep does) never pays ``compile``
+    twice in one process.
     """
     registry = get_registry()
     code = _CODE_CACHE.get(source)
@@ -775,54 +582,6 @@ def _load(source: str, filename: str) -> Dict[str, object]:
     ns = dict(_NAMESPACE)
     exec(code, ns)
     return ns
-
-
-# ---------------------------------------------------------------------------
-# Elemental executor (multiprocess workers)
-# ---------------------------------------------------------------------------
-
-
-class ElementalGeneratedKernel:
-    """Run a generated elemental module against packed per-element arrays.
-
-    Drop-in for :class:`~repro.core.tape.ElementalTape`: same
-    ``(n, nnode_per_element, 3)`` output, same ``+=`` accumulation order,
-    same lazy slab rebinding across chunk sizes, same ``profile``
-    attribute contract.
-    """
-
-    def __init__(self, program: ElementalCodegenProgram) -> None:
-        self.program = program
-        #: set to a :class:`repro.obs.profiler.TapeProfile` to time stmts
-        self.profile = None
-        self._n = -1
-        self._rows: Optional[List[np.ndarray]] = None
-        ns = _load(
-            program.source, f"<codegen:{program.variant}:elemental>"
-        )
-        self._fn = ns["elemental"]
-        self._fn_timed = ns["elemental_timed"]
-
-    def _bind(self, n: int) -> None:
-        slab = np.empty((max(self.program.nslab, 1), n))
-        self._rows = [slab[r] for r in range(self.program.nslab)]
-        self._n = n
-
-    def __call__(self, xel: np.ndarray, uel: np.ndarray) -> np.ndarray:
-        n = xel.shape[0]
-        if n != self._n:
-            self._bind(n)
-        nnpe = self.program.nnode_per_element
-        out_rhs = np.zeros((n, nnpe, 3))
-        if self.profile is not None:
-            self._fn_timed(
-                xel, uel, out_rhs, self._rows,
-                time.perf_counter, self.profile.record, n,
-            )
-            self.profile.finish_execution()
-        else:
-            self._fn(xel, uel, out_rhs, self._rows)
-        return out_rhs
 
 
 # ---------------------------------------------------------------------------
@@ -854,81 +613,7 @@ class ElementalGeneratedKernel:
 # case: nothing varies, so there is no parameter stage and no (S, n) row.
 
 
-def _assign_rows_batch(
-    stmts: List[_Stmt],
-    is_external: Callable[[int], bool],
-    rank_of: Callable[[int], str],
-) -> Tuple[Dict[int, int], int, int]:
-    """Two-pool statement liveness: rank-1 rows and ``(S, n)`` rows.
-
-    Same LIFO linear scan as :func:`_assign_rows`, with one free list per
-    rank pool -- a released rank-1 row can never be handed to a full-rank
-    output (the pools are disjoint slabs), so in-place ``out=`` aliasing
-    stays confined to same-shape rows.
-    """
-    last: Dict[int, int] = {}
-    for j, st in enumerate(stmts):
-        for r in st.leaves:
-            if not is_external(r):
-                last[r] = j
-    row_of: Dict[int, int] = {}
-    free: Dict[str, List[int]] = {"vec": [], "full": []}
-    nrows = {"vec": 0, "full": 0}
-    for j, st in enumerate(stmts):
-        for r in sorted(set(st.leaves)):
-            if not is_external(r) and last.get(r) == j:
-                free[rank_of(r)].append(row_of[r])
-        if st.op[0] != "sc":
-            out = st.op[-1]
-            if not is_external(out):
-                pool = rank_of(out)
-                if free[pool]:
-                    row_of[out] = free[pool].pop()
-                else:
-                    row_of[out] = nrows[pool]
-                    nrows[pool] += 1
-    return row_of, nrows["vec"], nrows["full"]
-
-
-def _expr_batch(
-    r,
-    prod: Dict[int, tuple],
-    fused: Set[int],
-    name_of: Callable[[int], str],
-    rank_of: Callable[[int], str],
-    scratch: Optional[Dict[str, int]],
-) -> str:
-    """Rank-aware :func:`_expr`: fused bin/un nodes write ``out=`` scratch
-    rows drawn from the pool of the node's *own* rank (``tv*`` rank-1,
-    ``tf*`` full), so a shared-geometry subtree inside a per-scenario
-    statement still computes once per batch."""
-    if _is_scalar(r):
-        return _lit(r)
-    if r in fused:
-        op = prod[r]
-        tag = op[0]
-        out = ""
-        if scratch is not None and tag in ("bin", "un"):
-            pool = rank_of(r)
-            prefix = "tv" if pool == "vec" else "tf"
-            out = f", out={prefix}{scratch[pool]}"
-            scratch[pool] += 1
-
-        def ex(q):
-            return _expr_batch(q, prod, fused, name_of, rank_of, scratch)
-
-        if tag == "bin":
-            return f"{_UFUNC_NAMES[op[1]]}({ex(op[2])}, {ex(op[3])}{out})"
-        if tag == "un":
-            return f"{_UFUNC_NAMES[op[1]]}({ex(op[2])}{out})"
-        return (
-            f"where(greater({ex(op[1])}, {_lit(op[4])}), "
-            f"{ex(op[2])}, {ex(op[3])})"
-        )
-    return name_of(r)
-
-
-def _stmt_costs_batch(
+def _stmt_costs(
     stmts: List[_Stmt],
     rank: Dict[int, str],
     q_refs: Set[int],
@@ -978,26 +663,6 @@ def _stmt_costs_batch(
             label += f"+{len(st.tree) - 1}"
         costs.append((_ROOT_KINDS[root[0]], label, rb, wb, fl))
     return tuple(costs)
-
-
-def _emit_block_batch(
-    lines: List[str],
-    stmts: List[str],
-    lanevars: List[str],
-    indent: str,
-    timed: bool,
-) -> None:
-    if not stmts:
-        lines.append(f"{indent}pass")
-        return
-    if not timed:
-        for s in stmts:
-            lines.append(f"{indent}{s}")
-        return
-    for i, (s, lv) in enumerate(zip(stmts, lanevars)):
-        lines.append(f"{indent}_t = clock()")
-        lines.append(f"{indent}{s}")
-        lines.append(f"{indent}rec({i}, clock() - _t, {lv})")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -1150,10 +815,10 @@ def generate_batched_program(
         setup_stmts = _statements(setup_sched, prod, setup_fused)
         body_stmts = _statements(body_sched, prod, body_fused)
 
-        setup_rows, nsetup_tmp = _assign_rows(
+        setup_rows, nsetup_tmp, _ = _assign_rows(
             setup_stmts, lambda r: r in pinned_set
         )
-        body_rows, nslab_v, nslab_f = _assign_rows_batch(
+        body_rows, nslab_v, nslab_f = _assign_rows(
             body_stmts, is_external, lambda r: rank[r]
         )
 
@@ -1177,18 +842,30 @@ def generate_batched_program(
         gi_index = {slot: k for k, slot in enumerate(gf_slots)}
         vc_comps = sorted({op[3] for op in body_ops if op[0] == "gf"})
 
+        def scatter(dst: str, src, ex) -> str:
+            """Scatter statement, reshaped by the source's rank."""
+            if _is_scalar(src):
+                return f"{dst}[...] = {_lit(src)}"
+            if src in q_refs:
+                return f"copyto({dst}, q{q_of[src]}.reshape({S}, 1, 1))"
+            if rank[src] == "full":
+                return f"copyto({dst}, {ex(src)}.reshape({S}, -1, {vd}))"
+            return f"copyto({dst}, {ex(src)}.reshape(-1, {vd}))"
+
         # -- setup: rank-1 geometry, shared by every scenario --------------
-        setup_lines = [
-            _render_mesh(
-                st, prod, setup_fused, setup_name,
-                lambda c: f"SV[{spos[c]}]",
-                lambda op: (
-                    f"take(C[{op[2]}], I[{op[1]}], out={setup_name(op[3])})"
-                ),
-                vd,
-            )
-            for st in setup_stmts
-        ]
+        def setup_ex(r):
+            return _expr(r, prod, setup_fused, setup_name)
+
+        setup_lines: List[str] = []
+        for st in setup_stmts:
+            op = st.op
+            if op[0] == "gc":
+                line = f"take(C[{op[2]}], I[{op[1]}], out={setup_name(op[3])})"
+            elif op[0] == "sc":
+                line = scatter(f"SV[{spos[op[1]]}]", op[4], setup_ex)
+            else:
+                line = _render_compute(op, setup_ex, setup_name)
+            setup_lines.append(line)
 
         # -- body: rank-aware emission ------------------------------------
         gather = "take(vc{c}, gi{k}, axis=1, out={dst})" \
@@ -1202,42 +879,18 @@ def generate_batched_program(
             ctr = {"vec": 0, "full": 0}
 
             def ex(r):
-                return _expr_batch(
+                return _expr(
                     r, prod, body_fused, body_name, lambda v: rank[v], ctr
                 )
 
-            if tag == "bin":
-                line = (
-                    f"{_UFUNC_NAMES[op[1]]}({ex(op[2])}, {ex(op[3])}, "
-                    f"out={body_name(op[4])})"
-                )
-            elif tag == "un":
-                line = (
-                    f"{_UFUNC_NAMES[op[1]]}({ex(op[2])}, "
-                    f"out={body_name(op[3])})"
-                )
-            elif tag == "sel":
-                line = (
-                    f"copyto({body_name(op[5])}, where(greater({ex(op[1])}, "
-                    f"{_lit(op[4])}), {ex(op[2])}, {ex(op[3])}))"
-                )
-            elif tag == "gf":
+            if tag == "gf":
                 line = gather.format(
                     c=op[3], k=gi_index[op[2]], dst=body_name(op[4])
                 )
-            else:  # sc
-                dst = f"s{bpos[op[1]]}"
-                src = op[4]
-                if _is_scalar(src):
-                    line = f"{dst}[...] = {_lit(src)}"
-                elif src in q_refs:
-                    line = f"copyto({dst}, q{q_of[src]}.reshape({S}, 1, 1))"
-                elif rank[src] == "full":
-                    line = (
-                        f"copyto({dst}, {ex(src)}.reshape({S}, -1, {vd}))"
-                    )
-                else:
-                    line = f"copyto({dst}, {ex(src)}.reshape(-1, {vd}))"
+            elif tag == "sc":
+                line = scatter(f"s{bpos[op[1]]}", op[4], ex)
+            else:
+                line = _render_compute(op, ex, body_name)
             body_lines.append(line)
             if tag == "sc" or rank.get(op[-1]) == "full":
                 lanevars.append("ns")
@@ -1272,14 +925,13 @@ def generate_batched_program(
             "",
             "def setup(C, I, P, T, SV):",
         ]
-        _emit_block(lines, setup_lines, "    ", timed=False)
+        _emit_block(lines, setup_lines, "    ")
         lines += ["", "", "def factory(VC, GI, P, Q, SV, BV, BF):"]
         for p in prologue:
             lines.append(f"    {p}")
         lines.append("")
         lines.append("    def kernel():")
-        _emit_block_batch(lines, body_lines, lanevars, "        ",
-                          timed=False)
+        _emit_block(lines, body_lines, "        ")
         lines.append("")
         lines.append("    return kernel")
         lines += [
@@ -1290,8 +942,7 @@ def generate_batched_program(
             lines.append(f"    {p}")
         lines.append("")
         lines.append("    def kernel():")
-        _emit_block_batch(lines, body_lines, lanevars, "        ",
-                          timed=True)
+        _emit_block(lines, body_lines, "        ", lanevars)
         lines.append("")
         lines.append("    return kernel")
         source = "\n".join(lines) + "\n"
@@ -1336,7 +987,7 @@ def generate_batched_program(
             nsetup_tmp=nsetup_tmp,
             nslab_vec=nslab_vec,
             nslab_full=nslab_full,
-            stmt_costs=_stmt_costs_batch(body_stmts, rank, q_refs, S),
+            stmt_costs=_stmt_costs(body_stmts, rank, q_refs, S),
             report=report,
         )
     registry = get_registry()

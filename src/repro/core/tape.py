@@ -29,10 +29,9 @@ the Python analogue of P:
   assembly is the ``S = 1`` batch: one kernel shape, like the paper's
   one vectorized code base whose CPU and GPU builds differ only in the
   length of the vector axis.
-* :class:`ElementalTape` is the picklable flavour the multiprocess runner
-  ships to workers: a :func:`compile_tape` program executed against
-  packed per-element coordinate/velocity arrays, producing
-  ``(n, 4, 3)`` elemental contributions.
+* The multiprocess runner's pool workers run the same kernel over the
+  sub-mesh of their element chunk, so serial, batched and pool-worker
+  assembly share one kernel shape.
 
 Bit-identity contract
 ---------------------
@@ -78,19 +77,16 @@ __all__ = [
     "RecordingBackend",
     "BatchRecordingBackend",
     "TapeReport",
-    "TapeProgram",
     "BatchTapeProgram",
     "BoundKernel",
     "BatchedTape",
-    "ElementalTape",
-    "record_program",
     "record_batch_program",
     "batched_tape",
     "batch_tape_cache_key",
 ]
 
-#: scalar reference on the tape (folded constant); vector refs are ints
-Scalar = np.float64
+#: a tape operand: vector refs are ``int`` SSA ids, folded constants
+#: ``np.float64`` scalars
 Ref = Union[int, np.float64]
 
 #: DSL op name -> numpy ufunc name (picklable; resolved at execution time)
@@ -397,299 +393,6 @@ class TapeReport:
         )
 
 
-def _op_inputs(op: tuple) -> Tuple[Ref, ...]:
-    tag = op[0]
-    if tag == "bin":
-        return (op[2], op[3])
-    if tag == "un":
-        return (op[2],)
-    if tag == "sel":
-        return (op[1], op[2], op[3])
-    if tag == "sc":
-        return (op[3],)
-    return ()  # gc / gf
-
-
-@dataclasses.dataclass(frozen=True)
-class TapeProgram:
-    """A compiled, picklable kernel tape.
-
-    ``ops`` use integer opcodes; every vector reference is a buffer-arena
-    row index in ``[0, nbufs)`` and every scalar reference is a folded
-    ``np.float64``:
-
-    ==  ==========================================  =========================
-    op  operands                                    semantics
-    ==  ==========================================  =========================
-    0   ``(ufunc, a, b, out)``                      ``ufunc(a, b, out=out)``
-    1   ``(ufunc, a, out)``                         ``ufunc(a, out=out)``
-    2   ``(x, a, b, thresh, out)``                  ``where(x > thresh, a, b)``
-    3   ``(node_slot, component, out)``             coordinate gather
-    4   ``(field, node_slot, component, out)``      field gather
-    5   ``(call, node_slot, component, src)``       deferred RHS scatter
-    ==  ==========================================  =========================
-    """
-
-    variant: str
-    params_key: Tuple[Tuple[str, float], ...]
-    ops: Tuple[tuple, ...]
-    nbufs: int
-    scatter_calls: Tuple[Tuple[int, int], ...]
-    report: TapeReport
-    nnode_per_element: int = 4
-
-
-def compile_tape(recorder: RecordingBackend, variant: str, params_key) -> TapeProgram:
-    """Lower a recorded tape: DCE, liveness, arena assignment."""
-    ops = recorder.ops
-    # -- dead-code elimination backwards from the scatter roots ----------
-    needed: set = set()
-    keep = [False] * len(ops)
-    for i in range(len(ops) - 1, -1, -1):
-        op = ops[i]
-        if op[0] == "sc" or (not _is_scalar(op[-1]) and op[-1] in needed):
-            keep[i] = True
-            for ref in _op_inputs(op):
-                if not _is_scalar(ref):
-                    needed.add(ref)
-    live_ops = [op for op, k in zip(ops, keep) if k]
-
-    # -- liveness: last read position of every vector ref ----------------
-    last_use: Dict[int, int] = {}
-    for j, op in enumerate(live_ops):
-        for ref in _op_inputs(op):
-            if not _is_scalar(ref):
-                last_use[ref] = j
-
-    # -- linear-scan arena allocation (LIFO free list) -------------------
-    # Dying inputs release their buffer *before* the output is allocated,
-    # so in-place ``out=`` aliasing happens naturally -- safe for every
-    # elementwise ufunc.  The one exception is the select op: its executor
-    # overwrites ``out`` with branch ``b`` before reading branch ``a``
-    # (mask-first order makes ``x``- and ``b``-aliasing safe), so ``a``'s
-    # buffer is protected until after the output is placed.
-    buf_of: Dict[int, int] = {}
-    free: List[int] = []
-    nbufs = 0
-    for j, op in enumerate(live_ops):
-        protected = None
-        if op[0] == "sel" and not _is_scalar(op[2]):
-            protected = op[2]
-        deferred = None
-        for ref in set(_op_inputs(op)):
-            if _is_scalar(ref) or last_use.get(ref) != j:
-                continue
-            if ref == protected:
-                deferred = ref
-            else:
-                free.append(buf_of[ref])
-        if op[0] != "sc":
-            out = op[-1]
-            if free:
-                buf_of[out] = free.pop()
-            else:
-                buf_of[out] = nbufs
-                nbufs += 1
-        if deferred is not None:
-            free.append(buf_of[deferred])
-
-    # -- lower to executable opcodes -------------------------------------
-    def ref_of(r: Ref):
-        return r if _is_scalar(r) else buf_of[r]
-
-    lowered: List[tuple] = []
-    call = 0
-    for op in live_ops:
-        tag = op[0]
-        if tag == "bin":
-            lowered.append(
-                (0, _UFUNC_NAMES[op[1]], ref_of(op[2]), ref_of(op[3]), buf_of[op[4]])
-            )
-        elif tag == "un":
-            lowered.append((1, _UFUNC_NAMES[op[1]], ref_of(op[2]), buf_of[op[3]]))
-        elif tag == "sel":
-            lowered.append(
-                (2, ref_of(op[1]), ref_of(op[2]), ref_of(op[3]), op[4], buf_of[op[5]])
-            )
-        elif tag == "gc":
-            lowered.append((3, op[1], op[2], buf_of[op[3]]))
-        elif tag == "gf":
-            lowered.append((4, op[1], op[2], op[3], buf_of[op[4]]))
-        elif tag == "sc":
-            lowered.append((5, call, op[1], op[2], ref_of(op[3])))
-            call += 1
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"unknown tape op {tag!r}")
-
-    codes = [op[0] for op in lowered]
-    report = TapeReport(
-        variant=variant,
-        ops_recorded=len(ops),
-        ops_live=len(live_ops),
-        dce_removed=len(ops) - len(live_ops),
-        folded_scalars=recorder.folded_scalars,
-        gather_reuses=recorder.gather_reuses,
-        scatter_calls=len(recorder.scatter_calls),
-        buffers_live=nbufs,
-        binary_ops=codes.count(0),
-        unary_ops=codes.count(1),
-        select_ops=codes.count(2),
-        gather_ops=codes.count(3) + codes.count(4),
-    )
-    return TapeProgram(
-        variant=variant,
-        params_key=tuple(params_key),
-        ops=tuple(lowered),
-        nbufs=nbufs,
-        scatter_calls=tuple(recorder.scatter_calls),
-        report=report,
-        nnode_per_element=recorder.ctx.nnode_per_element,
-    )
-
-
-def record_program(
-    variant_name: str,
-    kernel_params: Dict[str, float],
-    nnode_per_element: int = 4,
-) -> TapeProgram:
-    """Record a variant once and compile it to a :class:`TapeProgram`.
-
-    The recording runs against a dummy single-lane context: kernels are
-    straight-line code whose only data-dependent control flow reads the
-    runtime flags in ``kernel_params``, so the captured tape is valid for
-    any element group of any mesh.
-    """
-    variant = get_variant(variant_name)
-    ctx = KernelContext(
-        connectivity=np.zeros((1, nnode_per_element), dtype=np.int64),
-        coords=np.zeros((1, 3)),
-        fields={"velocity": np.zeros((1, 3))},
-        rhs=np.zeros((1, 3)),
-        params=dict(kernel_params),
-        nnode_per_element=nnode_per_element,
-    )
-    params_key = tuple(sorted(kernel_params.items()))
-    with get_tracer().span("tape.record", variant=variant.name):
-        recorder = RecordingBackend(ctx)
-        variant.kernel(recorder, ctx)
-        program = compile_tape(recorder, variant.name, params_key)
-    registry = get_registry()
-    registry.counter("tape.records").inc()
-    registry.gauge(f"tape.buffers_live.{variant.name}").set(program.nbufs)
-    return program
-
-# ---------------------------------------------------------------------------
-# Elemental executor (multiprocess workers)
-# ---------------------------------------------------------------------------
-
-
-class ElementalTape:
-    """Replay a :class:`TapeProgram` against packed per-element arrays.
-
-    This is the worker-side flavour: instead of mesh-wide gathers it reads
-    slices of the shared-memory-packed ``xel``/``uel`` arrays the
-    multiprocess runner already distributes, and instead of a deferred
-    global scatter it accumulates ``(n, nnode_per_element, 3)`` elemental
-    contributions (the parent performs the global reduction).  The arena
-    is lazily (re)bound to the chunk size and reused across repeats.
-    """
-
-    def __init__(self, program: TapeProgram) -> None:
-        self.program = program
-        #: set to a :class:`repro.obs.profiler.TapeProfile` to time ops
-        self.profile = None
-        self._n = -1
-        self._arena: Optional[np.ndarray] = None
-        self._mask: Optional[np.ndarray] = None
-
-    def _bind(self, n: int) -> None:
-        self._arena = np.empty((max(self.program.nbufs, 1), n))
-        self._mask = np.empty(n, dtype=bool)
-        self._n = n
-
-    def __call__(self, xel: np.ndarray, uel: np.ndarray) -> np.ndarray:
-        n = xel.shape[0]
-        if n != self._n:
-            self._bind(n)
-        arena = self._arena
-        mask = self._mask
-        nnpe = self.program.nnode_per_element
-        out_rhs = np.zeros((n, nnpe, 3))
-        if self.profile is not None:
-            self._call_timed(xel, uel, arena, mask, out_rhs, n)
-            return out_rhs
-        for op in self.program.ops:
-            code = op[0]
-            if code == 0:
-                _, uf, a, b, out = op
-                _ufunc(uf)(
-                    a if _is_scalar(a) else arena[a],
-                    b if _is_scalar(b) else arena[b],
-                    out=arena[out],
-                )
-            elif code == 1:
-                _, uf, a, out = op
-                _ufunc(uf)(a if _is_scalar(a) else arena[a], out=arena[out])
-            elif code == 2:
-                _, x, a, b, thresh, out = op
-                np.greater(arena[x], thresh, out=mask)
-                dst = arena[out]
-                if _is_scalar(b):
-                    dst[...] = b
-                else:
-                    dst[...] = arena[b]
-                np.copyto(dst, a if _is_scalar(a) else arena[a], where=mask)
-            elif code == 3:
-                _, slot, comp, out = op
-                np.copyto(arena[out], xel[:, slot, comp])
-            elif code == 4:
-                _, field, slot, comp, out = op
-                np.copyto(arena[out], uel[:, slot, comp])
-            else:  # code == 5
-                _, call, slot, comp, src = op
-                out_rhs[:, slot, comp] += src if _is_scalar(src) else arena[src]
-        return out_rhs
-
-    def _call_timed(self, xel, uel, arena, mask, out_rhs, n) -> None:
-        """Profiled twin of :meth:`__call__`'s op loop (identical op
-        stream into identical buffers; one clock read per op)."""
-        profile = self.profile
-        clock = time.perf_counter
-        for i, op in enumerate(self.program.ops):
-            code = op[0]
-            t0 = clock()
-            if code == 0:
-                _, uf, a, b, out = op
-                _ufunc(uf)(
-                    a if _is_scalar(a) else arena[a],
-                    b if _is_scalar(b) else arena[b],
-                    out=arena[out],
-                )
-            elif code == 1:
-                _, uf, a, out = op
-                _ufunc(uf)(a if _is_scalar(a) else arena[a], out=arena[out])
-            elif code == 2:
-                _, x, a, b, thresh, out = op
-                np.greater(arena[x], thresh, out=mask)
-                dst = arena[out]
-                if _is_scalar(b):
-                    dst[...] = b
-                else:
-                    dst[...] = arena[b]
-                np.copyto(dst, a if _is_scalar(a) else arena[a], where=mask)
-            elif code == 3:
-                _, slot, comp, out = op
-                np.copyto(arena[out], xel[:, slot, comp])
-            elif code == 4:
-                _, field, slot, comp, out = op
-                np.copyto(arena[out], uel[:, slot, comp])
-            else:  # code == 5
-                _, call, slot, comp, src = op
-                out_rhs[:, slot, comp] += src if _is_scalar(src) else arena[src]
-            profile.record(i, clock() - t0, n)
-        profile.finish_execution()
-
-
 # ---------------------------------------------------------------------------
 # Scenario-batched compilation and execution
 # ---------------------------------------------------------------------------
@@ -994,8 +697,11 @@ def record_batch_program(
 ) -> BatchTapeProgram:
     """Record a variant once for a scenario batch and compile it.
 
-    Like :func:`record_program`, but runtime parameters that vary across
-    the batch stay symbolic (per-scenario rows) instead of folding.
+    The recording runs against a dummy single-lane context: kernels are
+    straight-line code whose only data-dependent control flow reads the
+    runtime flags, so the captured tape is valid for any element group of
+    any mesh.  Runtime parameters that vary across the batch stay
+    symbolic (per-scenario rows) instead of folding.
     """
     variant = get_variant(variant_name)
     ctx = KernelContext(

@@ -40,7 +40,6 @@ from .profiler import (
     NullProfiler,
     TapeProfile,
     TapeProfiler,
-    op_costs_from_program,
 )
 from .export import (
     BENCH_SCHEMA,
@@ -63,7 +62,6 @@ __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "get_registry", "set_registry",
     "NULL_PROFILER", "NullProfiler", "TapeProfile", "TapeProfiler",
-    "op_costs_from_program",
     "BENCH_SCHEMA", "chrome_trace_events", "profile_trace_events",
     "collapse_spans", "write_flamegraph",
     "prometheus_text", "write_prometheus", "PrometheusExporter",

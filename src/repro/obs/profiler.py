@@ -7,10 +7,10 @@ module plays that role for the Python reproduction.  A
 :class:`TapeProfiler` attaches to the plan-path kernels
 (:class:`repro.core.tape.BatchedTape` /
 :class:`repro.core.codegen.BatchedGeneratedKernel`, which also run
-single-scenario assembly as their ``S = 1`` batch), to the worker-side
-``ElementalTape`` / ``ElementalGeneratedKernel`` and to the interpreted
-DSL path (:class:`repro.core.dsl.ProfilingNumpyBackend`) and records,
-**per tape op** (per statement for generated kernels):
+single-scenario assembly -- serial or on a multiprocess worker's chunk --
+as their ``S = 1`` batch) and to the interpreted DSL path
+(:class:`repro.core.dsl.ProfilingNumpyBackend`) and records, **per tape
+op** (per statement for generated kernels):
 
 * wall time (``perf_counter`` around the exact same ufunc call the
   unprofiled executor makes -- results stay bitwise identical);
@@ -45,7 +45,6 @@ __all__ = [
     "NullProfiler",
     "TapeProfile",
     "TapeProfiler",
-    "op_costs_from_program",
     "op_costs_from_batch_program",
 ]
 
@@ -67,16 +66,17 @@ OP_PHASES = {
 PHASE_ORDER = ("gather", "compute", "select", "store", "scatter", "flush")
 
 
-def _is_vec(ref: Any) -> bool:
-    """A lowered tape operand is a vector iff it is an arena row index."""
-    import numpy as np
+def _is_batch_vec(ref: Any) -> bool:
+    """A batched-tape operand is lane-wide iff it is a tagged arena ref
+    (``("v", row)`` rank-1 or ``("f", row)`` per-scenario).  Folded
+    scalars and tiny ``("q", k)`` scenario rows are register/cache
+    resident and cost no arena traffic."""
+    return isinstance(ref, tuple) and ref[0] in ("v", "f")
 
-    return isinstance(ref, (int, np.integer)) and not isinstance(ref, bool)
 
-
-def op_costs_from_program(program) -> List[Tuple[str, str, float, float, float]]:
+def op_costs_from_batch_program(program) -> List[Tuple[str, str, float, float, float]]:
     """Per-lane ``(kind, label, bytes_read, bytes_written, flops)`` for
-    every lowered op of a :class:`repro.core.tape.TapeProgram`.
+    every lowered op of a :class:`repro.core.tape.BatchTapeProgram`.
 
     The accounting mirrors what each executor op actually moves per lane:
 
@@ -91,50 +91,7 @@ def op_costs_from_program(program) -> List[Tuple[str, str, float, float, float]]
       into the deferred values buffer.
 
     Every arithmetic op costs 1 Flop per lane (the DSL has no fused op),
-    matching :data:`repro.core.dsl._FLOP_COST`.
-    """
-    costs: List[Tuple[str, str, float, float, float]] = []
-    for op in program.ops:
-        code = op[0]
-        if code == 0:  # (0, ufunc, a, b, out)
-            nvec = sum(1 for r in (op[2], op[3]) if _is_vec(r))
-            costs.append(("bin", op[1], nvec * _F8, _F8, 1.0))
-        elif code == 1:  # (1, ufunc, a, out)
-            nvec = 1 if _is_vec(op[2]) else 0
-            costs.append(("un", op[1], nvec * _F8, _F8, 1.0))
-        elif code == 2:  # (2, x, a, b, thresh, out)
-            nvec = sum(1 for r in (op[1], op[2], op[3]) if _is_vec(r))
-            costs.append(("sel", "select", nvec * _F8 + 1.0, _F8 + 1.0, 1.0))
-        elif code == 3:  # (3, slot, comp, out)
-            costs.append(
-                ("gather", f"coord[{op[1]},{op[2]}]", 2 * _F8, _F8, 0.0)
-            )
-        elif code == 4:  # (4, field, slot, comp, out)
-            costs.append(
-                ("gather", f"{op[1]}[{op[2]},{op[3]}]", 2 * _F8, _F8, 0.0)
-            )
-        elif code == 5:  # (5, call, slot, comp, src)
-            nvec = 1 if _is_vec(op[4]) else 0
-            costs.append(
-                ("scatter", f"rhs[{op[2]},{op[3]}]", nvec * _F8, _F8, 0.0)
-            )
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"unknown lowered op code {code!r}")
-    return costs
-
-
-def _is_batch_vec(ref: Any) -> bool:
-    """A batched-tape operand is lane-wide iff it is a tagged arena ref
-    (``("v", row)`` rank-1 or ``("f", row)`` per-scenario).  Folded
-    scalars and tiny ``("q", k)`` scenario rows are register/cache
-    resident and cost no arena traffic."""
-    return isinstance(ref, tuple) and ref[0] in ("v", "f")
-
-
-def op_costs_from_batch_program(program) -> List[Tuple[str, str, float, float, float]]:
-    """Per-lane costs for a :class:`repro.core.tape.BatchTapeProgram`.
-
-    Same accounting as :func:`op_costs_from_program`, but lanes are
+    matching :data:`repro.core.dsl._FLOP_COST`.  Lanes are
     *scenario-lanes*: the batched executor records ``n`` lanes for a
     rank-1 (shared) op and ``S * n`` for a full-rank one, so
     ``lanes * (rb + wb)`` stays the actual traffic either way.  The
@@ -180,7 +137,8 @@ class TapeProfile:
     accumulates over every execution (and every chunk, in the threaded
     executor -- :meth:`record` takes a lock, profiling runs are not the
     hot path).  ``ops`` slots are fixed for compiled tapes
-    (:func:`op_costs_from_program`) and grow on first sight for the
+    (:func:`op_costs_from_batch_program`) and generated kernels (their
+    ``stmt_costs``), and grow on first sight for the
     interpreted backend, whose op stream is only known as it executes.
     """
 
@@ -524,9 +482,11 @@ class TapeProfiler:
 
     One profiler serves any number of tapes/variants; executors ask for
     their profile with :meth:`for_batch_program` (compiled),
-    :meth:`for_batch_codegen` (codegen), :meth:`for_kernel` (interpreted)
-    or :meth:`for_elemental` / :meth:`for_codegen` (multiprocess
-    workers), keyed by ``(variant, vector_dim, mode, executor, S)``.
+    :meth:`for_batch_codegen` (codegen) or :meth:`for_kernel`
+    (interpreted), keyed by ``(variant, vector_dim, mode, executor, S)``.
+    Multiprocess workers run the same kernels on their chunk meshes, so
+    their profiles carry the same keys as a serial assembly's and fold
+    into the parent's with :meth:`merge`.
     """
 
     enabled = True
@@ -601,44 +561,6 @@ class TapeProfiler:
             key, lambda: TapeProfile(variant, vector_dim, "interpreted")
         )
 
-    def for_elemental(self, program, nlane: int) -> TapeProfile:
-        key = (program.variant, int(nlane), "elemental", "worker", 1)
-        return self._get(
-            key,
-            lambda: TapeProfile(
-                program.variant,
-                nlane,
-                "elemental",
-                "worker",
-                op_costs=op_costs_from_program(program),
-                report=program.report,
-            ),
-        )
-
-    def for_codegen(
-        self, program, nlane: int, executor: str = "worker"
-    ) -> TapeProfile:
-        """Statement-level profile of a worker's generated elemental kernel.
-
-        ``program`` is a :class:`repro.core.codegen.ElementalCodegenProgram`;
-        its ``stmt_costs`` slots carry the *summed* bytes/FLOPs of each
-        fused statement's constituent ops, so phase attribution stays
-        comparable with the replayed tape of the same variant while the
-        dispatch-overhead win shows up as fewer, longer op rows.
-        """
-        key = (program.variant, int(nlane), "codegen", executor, 1)
-        return self._get(
-            key,
-            lambda: TapeProfile(
-                program.variant,
-                nlane,
-                "codegen",
-                executor,
-                op_costs=list(program.stmt_costs),
-                report=program.report,
-            ),
-        )
-
     # -- merge / export --------------------------------------------------
     def snapshot(self) -> List[Dict[str, Any]]:
         with self._lock:
@@ -701,12 +623,6 @@ class NullProfiler:
     profiles: Dict = {}
 
     def for_kernel(self, variant, vector_dim):
-        raise RuntimeError("NullProfiler cannot profile; check .enabled first")
-
-    def for_elemental(self, program, nlane):
-        raise RuntimeError("NullProfiler cannot profile; check .enabled first")
-
-    def for_codegen(self, program, nlane, executor="worker"):
         raise RuntimeError("NullProfiler cannot profile; check .enabled first")
 
     def for_batch_program(self, program, vector_dim, executor="serial"):

@@ -10,13 +10,20 @@ Two paths exercise the paper's pure-MPI execution shape:
   scatter loop protects against).
 * :class:`MultiprocessRunner` -- real ``multiprocessing`` strong-scaling
   runs for the wall-clock analogue of Figure 2 (the simulated turbo-binned
-  curve lives in :meth:`repro.machine.cpu.CpuModel.scaling_curve`).
+  curve lives in :meth:`repro.machine.cpu.CpuModel.scaling_curve`).  Each
+  rank builds the sub-mesh of its element chunk and runs the same
+  assembly a serial run would on it: the vectorized reference, or the
+  plan-path S=1 kernel in ``compiled``/``codegen`` mode -- one kernel
+  shape for serial, batched and pool-worker assembly.
 
-The runner shares the read-only element arrays (packed coordinates and
-velocities) with its workers through ``multiprocessing.shared_memory`` and
-keeps **one** persistent spawn pool alive across all measured worker
-counts: per measurement, only chunk *bounds* are pickled -- O(1) per task
-instead of O(nelem) -- so the scaling curve measures assembly, not IPC.
+The runner shares the read-only mesh arrays (coordinates, connectivity and
+velocity) with its workers through ``multiprocessing.shared_memory`` --
+:meth:`~MultiprocessRunner.measure` and
+:meth:`~MultiprocessRunner.run_batch` acquire them through one helper and
+workers attach through one helper -- and keeps **one** persistent spawn
+pool alive across all measured worker counts: per measurement, only chunk
+*bounds* are pickled -- O(1) per task instead of O(nelem) -- so the
+scaling curve measures assembly, not IPC.
 
 Workers are *supervised*: every chunk is dispatched with ``apply_async``
 under a per-task deadline (:class:`WorkerPolicy`), so a crashed, hard-dead
@@ -32,10 +39,11 @@ the run completes, slower, with the loss visible in the
 from __future__ import annotations
 
 import dataclasses
+import functools
 import multiprocessing as mp
 import time
 from multiprocessing import shared_memory
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -43,7 +51,11 @@ from ..fem.mesh import TetMesh
 from ..fem.plan import get_plan, segment_scatter
 from ..obs.metrics import MetricsRegistry, get_registry
 from ..obs.spans import NULL_TRACER, Tracer
-from ..physics.momentum import AssemblyParams, element_rhs
+from ..physics.momentum import (
+    AssemblyParams,
+    assemble_momentum_rhs,
+    element_rhs,
+)
 from ..resilience.cancel import CancelToken
 from .comm import SimComm
 from .halo import build_plans, post_interface, reduce_interface
@@ -201,6 +213,8 @@ class WorkerPolicy:
 class ScalingPoint:
     """One strong-scaling measurement.
 
+    ``wall_seconds`` is the slowest rank's time outside its cold chunk
+    setup (see :meth:`MultiprocessRunner.measure`);
     ``speedup``/``efficiency`` are normalized to the measurement at
     ``baseline_workers`` -- the *smallest* worker count in the sweep (the
     seed silently used whichever count came first in the list).
@@ -214,20 +228,47 @@ class ScalingPoint:
     baseline_workers: int = 1
 
 
+class _ChunkResult(NamedTuple):
+    """What one rank returns for one chunk (picklable)."""
+
+    #: the rank's time outside its cold setup (see :func:`_assemble_chunk`)
+    seconds: float
+    spans: List[dict]
+    #: component sums of the chunk's nodal RHS
+    checksum: Tuple[float, float, float]
+    profiles: List[dict]
+    metrics: dict
+
+
 def _assemble_chunk(
     rank: int,
-    xel: np.ndarray,
-    uel: np.ndarray,
+    mesh: TetMesh,
+    velocity: np.ndarray,
     params: AssemblyParams,
+    mode: str,
+    variant: str,
+    vector_dim: Optional[int],
     repeats: int,
     traced: bool,
-    program=None,
     profiled: bool = False,
-) -> Tuple[float, List[dict], Tuple[float, float, float], List[dict], dict]:
+    entered: Optional[float] = None,
+) -> _ChunkResult:
     """Assemble one element chunk ``repeats`` times.
 
-    Returns ``(seconds, spans, checksum, profiles, metrics)`` where
-    ``checksum`` is the component-wise sum of the chunk's elemental RHS --
+    ``mesh`` is the chunk's sub-mesh over the whole node set;
+    ``reference`` ranks run
+    :func:`~repro.physics.momentum.assemble_momentum_rhs` on it, and
+    ``compiled``/``codegen`` ranks run the plan-path S=1 kernel through
+    :meth:`~repro.core.unified.UnifiedAssembler.assemble` at the
+    parent's pinned ``vector_dim`` -- every rank runs the same kernel as
+    a serial assembly, over its own subdomain.
+
+    ``seconds`` runs from ``entered`` (the task's start, default now) to
+    the end of the ``repeats`` assemblies, less the cold setup in
+    between -- plan build and kernel record/compile -- so a straggling
+    rank (an injected ``slow`` fault) counts and a cold kernel does not.
+
+    ``checksum`` is the component-wise sum of the chunk's nodal RHS --
     a deterministic fingerprint the chaos tests compare bitwise between
     fault-free and fault-recovered runs (the serial fallback reproduces it
     exactly) -- and ``profiles``/``metrics`` are this rank's op-level
@@ -235,57 +276,39 @@ def _assemble_chunk(
     (empty otherwise); the parent folds them through
     :meth:`~repro.obs.profiler.TapeProfiler.merge` and the existing
     :meth:`~repro.obs.metrics.MetricsRegistry.merge` reduction.
-
-    With a compiled :class:`~repro.core.tape.TapeProgram` the chunk runs
-    through an :class:`~repro.core.tape.ElementalTape` whose buffer arena
-    is bound once and reused across all repeats; with an
-    :class:`~repro.core.codegen.ElementalCodegenProgram` the worker
-    re-``exec``-compiles the generated source (deterministic emission, so
-    every rank compiles the identical module and hits the process-local
-    code cache) and runs the
-    :class:`~repro.core.codegen.ElementalGeneratedKernel`; otherwise the
-    vectorized reference :func:`~repro.physics.momentum.element_rhs` runs
-    (op-level profiling needs an op/statement cost table, so it covers
-    the compiled and codegen modes only).
     """
+    t_setup = time.perf_counter()
+    if entered is None:
+        entered = t_setup
     tracer = Tracer(pid=rank) if traced else NULL_TRACER
-    tape = None
     profiler = None
-    if program is not None:
-        from ..core.codegen import ElementalCodegenProgram
+    if profiled:
+        from ..obs.profiler import TapeProfiler
 
-        if isinstance(program, ElementalCodegenProgram):
-            from ..core.codegen import ElementalGeneratedKernel
+        profiler = TapeProfiler()
+    if mode == "reference":
+        get_plan(mesh).geometry()
+        assemble = functools.partial(assemble_momentum_rhs, mesh, params=params)
+    else:
+        from ..core.unified import UnifiedAssembler
 
-            tape = ElementalGeneratedKernel(program)
-        else:
-            from ..core.tape import ElementalTape
-
-            tape = ElementalTape(program)
-        if profiled:
-            from ..obs.profiler import TapeProfiler
-
-            profiler = TapeProfiler()
-            if isinstance(program, ElementalCodegenProgram):
-                tape.profile = profiler.for_codegen(
-                    program, int(len(xel)), executor="worker"
-                )
-            else:
-                tape.profile = profiler.for_elemental(program, int(len(xel)))
-    elem = None
+        asm = UnifiedAssembler(
+            mesh, params, mode=mode, vector_dim=vector_dim, profiler=profiler
+        )
+        # the kernel assemble() will fetch from the plan cache
+        asm._plan_kernel(variant, vector_dim, asm._single, "vec")
+        assemble = functools.partial(asm.assemble, variant)
+    rhs = None
     t0 = time.perf_counter()
-    with tracer.span("rank", rank=rank, nelem=int(len(xel)), repeats=repeats):
+    with tracer.span("rank", rank=rank, nelem=mesh.nelem, repeats=repeats):
         for rep in range(repeats):
             with tracer.span("assemble_chunk", rep=rep):
-                if tape is not None:
-                    elem = tape(xel, uel)
-                else:
-                    elem = element_rhs(xel, uel, params)
-    seconds = time.perf_counter() - t0
-    if elem is None:
+                rhs = assemble(velocity)
+    seconds = time.perf_counter() - entered - (t0 - t_setup)
+    if rhs is None:
         checksum = (0.0, 0.0, 0.0)
     else:
-        sums = elem.sum(axis=(0, 1))
+        sums = rhs.sum(axis=0)
         checksum = (float(sums[0]), float(sums[1]), float(sums[2]))
     profile_snap: List[dict] = []
     metrics_snap: dict = {}
@@ -294,33 +317,101 @@ def _assemble_chunk(
         local = MetricsRegistry()
         profiler.publish(local)
         metrics_snap = local.snapshot()
-    return seconds, tracer.export(), checksum, profile_snap, metrics_snap
+    return _ChunkResult(
+        seconds, tracer.export(), checksum, profile_snap, metrics_snap
+    )
+
+
+def _share_arrays(
+    arrays: List[np.ndarray], owner: list, registry: MetricsRegistry
+) -> List[Tuple[str, tuple, str]]:
+    """Copy ``arrays`` into fresh shared-memory segments.
+
+    Each segment joins ``owner`` in the same step that creates it
+    (:func:`~repro.parallel.shutdown.create_shared_memory`), so the
+    caller's ``finally`` releases every segment whatever interrupts the
+    copy.  Returns the ``(name, shape, dtype)`` descriptors workers
+    attach with :func:`_shared_mesh` and :func:`_copy_shared`.
+    """
+    segments = []
+    for arr in arrays:
+        shm = create_shared_memory(arr.nbytes, owner=owner)
+        np.ndarray(arr.shape, arr.dtype, buffer=shm.buf)[...] = arr
+        segments.append((shm.name, arr.shape, arr.dtype.str))
+    registry.counter("runner.shm_bytes_shared").inc(
+        sum(arr.nbytes for arr in arrays)
+    )
+    return segments
+
+
+def _attach(segment: Tuple[str, tuple, str]):
+    """``(handle, zero-copy view)`` of a shared array (worker side).
+
+    Pool workers share the parent's resource-tracker process, so this
+    attach-side registration is an idempotent no-op and the parent's
+    single unlink keeps the tracker cache clean -- do NOT unregister
+    here (that would drop the parent's own registration).  Every view
+    must be dropped before ``handle.close()``.
+    """
+    name, shape, dtype = segment
+    shm = shared_memory.SharedMemory(name=name)
+    return shm, np.ndarray(shape, dtype, buffer=shm.buf)
+
+
+def _shared_mesh(c_seg, k_seg, rows=slice(None)) -> TetMesh:
+    """The sub-mesh over connectivity ``rows``, read from shared memory.
+
+    :class:`~repro.fem.mesh.TetMesh` keeps private copies of its arrays,
+    so it reads the segments through zero-copy views and the handles
+    close before the mesh is returned.
+    """
+    c_shm, coords = _attach(c_seg)
+    k_shm, conn = _attach(k_seg)
+    try:
+        return TetMesh(coords, conn[rows], validate=False)
+    finally:
+        del coords, conn
+        c_shm.close()
+        k_shm.close()
+
+
+def _copy_shared(segment: Tuple[str, tuple, str], rows=slice(None)):
+    """Private copy of ``rows`` of a shared array (worker side): the
+    assembly reads it after the handle is closed."""
+    shm, view = _attach(segment)
+    try:
+        return view[rows].copy()
+    finally:
+        del view
+        shm.close()
 
 
 def _worker_assemble(args: Tuple):
-    """Pool worker: map a zero-copy view of the shared element arrays and
-    assemble the ``[start, stop)`` chunk (module-level for pickling).
+    """Pool worker: build the ``[start, stop)`` element chunk's sub-mesh
+    from shared memory and assemble it (module-level for pickling).
 
-    Only scalars cross the pickle boundary (plus, in compiled mode, the
-    one-time picklable tape program); the O(nelem) coordinate and
-    velocity packs live in ``multiprocessing.shared_memory``.
+    Only scalars and segment descriptors cross the pickle boundary; the
+    O(nelem) coordinates, connectivity and velocity live in
+    ``multiprocessing.shared_memory``.
 
     ``fault_plan``/``attempt`` drive chaos testing: an injected ``worker``
     fault matching ``(rank, attempt)`` crashes, hard-exits, hangs or slows
-    this worker before any shared memory is touched.
+    this worker before any shared memory is touched (a slowed rank's
+    delay counts in its ``seconds``).
     """
+    entered = time.perf_counter()
     (
         rank,
-        x_name,
-        u_name,
-        nelem,
+        segments,
         start,
         stop,
         params,
+        mode,
+        variant,
+        vector_dim,
         repeats,
         traced,
         profiled,
-        program,
         fault_plan,
         attempt,
     ) = args
@@ -328,29 +419,20 @@ def _worker_assemble(args: Tuple):
         spec = fault_plan.worker_fault(rank, attempt)
         if spec is not None:
             fault_plan.execute_worker_fault(spec, rank, attempt)
-    # Pool workers share the parent's resource-tracker process, so this
-    # attach-side registration is an idempotent no-op and the parent's
-    # single unlink keeps the tracker cache clean -- do NOT unregister
-    # here (that would drop the parent's own registration).
-    x_shm = shared_memory.SharedMemory(name=x_name)
-    u_shm = shared_memory.SharedMemory(name=u_name)
-    try:
-        xall = np.ndarray((nelem, 4, 3), dtype=np.float64, buffer=x_shm.buf)
-        uall = np.ndarray((nelem, 4, 3), dtype=np.float64, buffer=u_shm.buf)
-        return _assemble_chunk(
-            rank,
-            xall[start:stop],
-            uall[start:stop],
-            params,
-            repeats,
-            traced,
-            program,
-            profiled,
-        )
-    finally:
-        del xall, uall
-        x_shm.close()
-        u_shm.close()
+    c_seg, k_seg, v_seg = segments
+    return _assemble_chunk(
+        rank,
+        _shared_mesh(c_seg, k_seg, slice(start, stop)),
+        _copy_shared(v_seg),
+        params,
+        mode,
+        variant,
+        vector_dim,
+        repeats,
+        traced,
+        profiled,
+        entered=entered,
+    )
 
 
 def _worker_warmup(_rank: int) -> int:
@@ -361,9 +443,9 @@ def _worker_warmup(_rank: int) -> int:
 def _worker_batch_shard(args: Tuple):
     """Pool worker: assemble one contiguous scenario shard of a batch.
 
-    Mesh arrays and the velocity field come in through shared memory
-    (copied out before the segment closes -- the assembler caches keyed
-    on them must outlive the handle); only the shard's
+    The mesh and the velocity field come in through shared memory (the
+    mesh through :func:`_shared_mesh`, the velocity rows copied out);
+    only the shard's
     :class:`AssemblyParams` and scalars cross the pickle boundary.  The
     shard runs the ordinary batched
     :meth:`~repro.core.unified.UnifiedAssembler.run_batch` path at the
@@ -373,45 +455,23 @@ def _worker_batch_shard(args: Tuple):
     """
     (
         rank,
-        c_name,
-        k_name,
-        v_name,
-        nnode,
-        nelem,
+        segments,
         scenarios,
         variant,
         mode,
         vector_dim,
         velocity_rank,
-        total_s,
         start,
     ) = args
-    c_shm = shared_memory.SharedMemory(name=c_name)
-    k_shm = shared_memory.SharedMemory(name=k_name)
-    v_shm = shared_memory.SharedMemory(name=v_name)
-    try:
-        coords = np.ndarray(
-            (nnode, 3), dtype=np.float64, buffer=c_shm.buf
-        ).copy()
-        conn = np.ndarray(
-            (nelem, 4), dtype=np.int64, buffer=k_shm.buf
-        ).copy()
-        if velocity_rank == "vec":
-            vel = np.ndarray(
-                (nnode, 3), dtype=np.float64, buffer=v_shm.buf
-            ).copy()
-        else:
-            vel = np.ndarray(
-                (total_s, nnode, 3), dtype=np.float64, buffer=v_shm.buf
-            )[start : start + len(scenarios)].copy()
-    finally:
-        c_shm.close()
-        k_shm.close()
-        v_shm.close()
+    c_seg, k_seg, v_seg = segments
+    mesh = _shared_mesh(c_seg, k_seg)
+    if velocity_rank == "vec":
+        vel = _copy_shared(v_seg)
+    else:
+        vel = _copy_shared(v_seg, slice(start, start + len(scenarios)))
     from ..core.batch import ScenarioBatch
     from ..core.unified import UnifiedAssembler
 
-    mesh = TetMesh(coords, conn, validate=False)
     batch = ScenarioBatch(scenarios)
     asm = UnifiedAssembler(
         mesh, batch[0], mode=mode, vector_dim=vector_dim
@@ -422,45 +482,48 @@ def _worker_batch_shard(args: Tuple):
 
 
 class MultiprocessRunner:
-    """Real process-pool strong scaling of the elemental assembly.
+    """Real process-pool strong scaling of the momentum assembly.
 
-    The elemental work is "trivially parallel" (the paper skips scalability
+    The element work is "trivially parallel" (the paper skips scalability
     tests for this reason); the runner measures the wall-clock curve on
-    this machine for the Figure 2 analogue.
+    this machine for the Figure 2 analogue, in Alya's pure-MPI shape:
+    every rank runs the *same* assembly a serial run would, over its own
+    contiguous element chunk (a sub-mesh over the whole node set).
 
     One spawn pool (sized for the largest requested worker count) is
     created per :meth:`measure` sweep and reused for every point, and the
-    packed element arrays are exposed to it through shared memory --
+    mesh -- coordinates, connectivity and velocity -- is exposed to it
+    through shared memory, exactly as :meth:`run_batch` ships it;
     ``runner.shm_bytes_shared`` / ``runner.pickle_bytes_saved`` counters
     record how much data stayed out of the pickle stream.
 
-    ``assembly_mode="compiled"`` records the selected DSL ``variant``
-    once in the parent and ships the picklable tape program to every
-    worker, which replays it with a reusable buffer arena
-    (:class:`~repro.core.tape.ElementalTape`) instead of running the
-    reference einsum path.  ``assembly_mode="codegen"`` ships the
-    picklable :class:`~repro.core.codegen.ElementalCodegenProgram`
-    instead; each worker re-``exec``-compiles the identical generated
-    source once and runs the fused
-    :class:`~repro.core.codegen.ElementalGeneratedKernel`.
+    ``assembly_mode="reference"`` ranks run the vectorized
+    :func:`~repro.physics.momentum.assemble_momentum_rhs` on their chunk;
+    ``"compiled"`` and ``"codegen"`` ranks run the plan-path S=1 kernel
+    of the selected DSL ``variant``
+    (:meth:`~repro.core.unified.UnifiedAssembler.assemble`) at a
+    ``vector_dim`` the parent resolves once and pins for every rank and
+    for the serial fallback.
 
     Chunk dispatch is supervised (see :class:`WorkerPolicy`): worker
     crashes, hard deaths and hangs are detected by per-task deadlines,
     retried with bounded respawns, and finally recovered by in-process
-    serial assembly.  Per-chunk RHS checksums are kept in
-    :attr:`chunk_checksums` (``{workers: [(sx, sy, sz), ...]}``) so a
-    recovered run can be proven bitwise identical to a fault-free one.
+    serial assembly.  Per-chunk checksums (the component sums of each
+    chunk's nodal RHS) are kept in :attr:`chunk_checksums`
+    (``{workers: [(sx, sy, sz), ...]}``) so a recovered run can be
+    proven bitwise identical to a fault-free one.
     A :class:`~repro.resilience.faults.FaultPlan` passed as ``fault_plan``
     is shipped to every worker for chaos testing.
 
     ``ordering`` (any :data:`repro.fem.reorder.STRATEGIES` entry) permutes
-    the packed element arrays along the named space-filling curve before
+    the connectivity rows along the named space-filling curve before
     chunking, so each worker sweeps a spatially contiguous slab.
 
     ``profile=True`` (compiled and codegen modes) attaches op-level
-    software counters to every rank's elemental executor:
+    software counters to every rank's kernel:
     per-rank profiles return with the results and are folded into
-    :attr:`profiler` (op detail) and the metrics registry (published
+    :attr:`profiler` (op detail, keyed like a serial assembly's profile)
+    and the metrics registry (published
     ``profile.*`` counters, reduced through
     :meth:`~repro.obs.metrics.MetricsRegistry.merge` -- the same path
     per-rank span/metric sets already take).  ``prometheus_path`` makes
@@ -573,15 +636,15 @@ class MultiprocessRunner:
     def _run_supervised(
         self,
         chunk_args: List[Tuple],
-        serial_chunks: List[Tuple[np.ndarray, np.ndarray]],
+        fallback: Callable[[int], _ChunkResult],
         registry: MetricsRegistry,
         cancel: Optional[CancelToken] = None,
-    ) -> List[Tuple[float, List[dict], Tuple[float, float, float]]]:
+    ) -> List[_ChunkResult]:
         """Run every chunk to completion, through failures.
 
         ``chunk_args`` holds the picklable worker argument tuples (one per
-        rank, ``attempt`` slot last); ``serial_chunks`` the parent-side
-        array views used by the in-process fallback.  Returns results in
+        rank, ``attempt`` slot last); ``fallback(rank)`` assembles a chunk
+        in-process once its retries are spent.  Returns results in
         rank order; never returns a partial set.  A tripped ``cancel``
         raises between supervision rounds (the caller's ``finally``
         terminates the pool and releases shared memory).
@@ -637,17 +700,7 @@ class MultiprocessRunner:
                 pending = retry_ranks
             for rank, reason in failed:
                 if attempts[rank] > self.policy.max_retries:
-                    xel, uel = serial_chunks[rank]
-                    results[rank] = _assemble_chunk(
-                        rank,
-                        xel,
-                        uel,
-                        self.params,
-                        self.repeats,
-                        bool(self.tracer.enabled),
-                        program=chunk_args[rank][10],
-                        profiled=bool(chunk_args[rank][9]),
-                    )
+                    results[rank] = fallback(rank)
         return results
 
     def run_batch(
@@ -682,7 +735,7 @@ class MultiprocessRunner:
             batch = ScenarioBatch(batch)
         registry = get_registry() if self._metrics is None else self._metrics
         S = batch.size
-        nnode, nelem = self.mesh.nnode, self.mesh.nelem
+        nnode = self.mesh.nnode
         if velocity is None:
             velocity = self.velocity
         velocity = np.asarray(velocity, dtype=np.float64)
@@ -713,22 +766,14 @@ class MultiprocessRunner:
         shards = [
             (int(bounds[r]), int(bounds[r + 1])) for r in range(w)
         ]
-        coords = np.ascontiguousarray(self.mesh.coords, dtype=np.float64)
-        conn = np.ascontiguousarray(self.mesh.connectivity, dtype=np.int64)
         rhs = np.empty((S, nnode, 3))
         owned: list = []
         ok = False
         try:
-            c_shm = create_shared_memory(coords.nbytes, owner=owned)
-            k_shm = create_shared_memory(conn.nbytes, owner=owned)
-            v_shm = create_shared_memory(velocity.nbytes, owner=owned)
-            np.ndarray(coords.shape, np.float64, buffer=c_shm.buf)[...] = coords
-            np.ndarray(conn.shape, np.int64, buffer=k_shm.buf)[...] = conn
-            np.ndarray(velocity.shape, np.float64, buffer=v_shm.buf)[...] = (
-                velocity
-            )
-            registry.counter("runner.shm_bytes_shared").inc(
-                coords.nbytes + conn.nbytes + velocity.nbytes
+            segments = _share_arrays(
+                [self.mesh.coords, self.mesh.connectivity, velocity],
+                owned,
+                registry,
             )
             self._ensure_pool(w)
             with self.tracer.span(
@@ -738,17 +783,12 @@ class MultiprocessRunner:
                 for rank, (start, stop) in enumerate(shards):
                     args = (
                         rank,
-                        c_shm.name,
-                        k_shm.name,
-                        v_shm.name,
-                        nnode,
-                        nelem,
+                        segments,
                         list(batch.scenarios[start:stop]),
                         self.variant,
                         self.assembly_mode,
                         vd,
                         velocity_rank,
-                        S,
                         start,
                     )
                     handles[rank] = self._pool.apply_async(
@@ -803,6 +843,14 @@ class MultiprocessRunner:
     ) -> List[ScalingPoint]:
         """Measure the strong-scaling curve over ``worker_counts``.
 
+        Each point's ``wall_seconds`` is the slowest rank's time outside
+        its cold chunk setup (sub-mesh plan and, in kernel modes, the S=1
+        kernel's record/compile): from the start of its task, through any
+        straggling, to the end of its ``repeats`` warm assemblies.
+        Dispatch and the recovery of failed chunks stay out of it (the
+        ``measure`` span's duration and the ``resilience.*`` counters
+        carry those).
+
         A tripped ``cancel`` token raises
         :class:`~repro.resilience.cancel.CooperativeCancel` between
         measured worker counts (and between supervision rounds inside
@@ -813,35 +861,43 @@ class MultiprocessRunner:
         if not worker_counts:
             return []
         registry = get_registry() if self._metrics is None else self._metrics
-        xall = get_plan(self.mesh).packed_coords()
-        uall = self.velocity[self.mesh.connectivity]
+        coords = self.mesh.coords
+        conn = self.mesh.connectivity
         if self.ordering != "none":
-            # SFC-permute the element packs so each worker's contiguous
-            # chunk is also spatially contiguous (RCM atoms renumber
-            # nodes, which the per-element packs have already gathered
-            # away -- only the curve part affects chunk locality here).
+            # SFC-permute the connectivity rows so each worker's contiguous
+            # chunk is also spatially contiguous (only the curve part of a
+            # strategy affects chunk locality; RCM node renumbering would
+            # not change which elements a chunk holds).
             from ..fem.reorder import _parse_strategy, element_order
 
             sfc, _ = _parse_strategy(self.ordering)
             if sfc is not None:
-                order = element_order(self.mesh, sfc)
-                xall = xall[order]
-                uall = uall[order]
+                conn = conn[element_order(self.mesh, sfc)]
                 registry.counter("locality.runner_reorders").inc()
-        traced = bool(self.tracer.enabled)
+        vd = None
+        if self.assembly_mode != "reference":
+            from ..core.unified import UnifiedAssembler
+
+            vd = UnifiedAssembler(
+                self.mesh, self.params, mode=self.assembly_mode
+            ).resolve_vector_dim(self.variant)
         nelem = self.mesh.nelem
-        program = None
-        if self.assembly_mode == "compiled":
-            from ..core.tape import record_program
+        config = (
+            self.params,
+            self.assembly_mode,
+            self.variant,
+            vd,
+            self.repeats,
+            bool(self.tracer.enabled),
+            self.profile,
+        )
 
-            program = record_program(
-                self.variant, self.params.as_kernel_params()
-            )
-        elif self.assembly_mode == "codegen":
-            from ..core.codegen import generate_elemental_program
-
-            program = generate_elemental_program(
-                self.variant, self.params.as_kernel_params()
+        def serial_chunk(rank: int, bounds) -> _ChunkResult:
+            entered = time.perf_counter()
+            start, stop = int(bounds[rank]), int(bounds[rank + 1])
+            chunk = TetMesh(coords, conn[start:stop], validate=False)
+            return _assemble_chunk(
+                rank, chunk, self.velocity, *config, entered=entered
             )
 
         raw: List[Tuple[int, float]] = []
@@ -849,13 +905,8 @@ class MultiprocessRunner:
         owned: list = []
         ok = False
         try:
-            x_shm = create_shared_memory(xall.nbytes, owner=owned)
-            u_shm = create_shared_memory(uall.nbytes, owner=owned)
-            np.ndarray(xall.shape, dtype=np.float64, buffer=x_shm.buf)[...] = xall
-            np.ndarray(uall.shape, dtype=np.float64, buffer=u_shm.buf)[...] = uall
-            registry.counter("runner.shm_bytes_shared").inc(
-                xall.nbytes + uall.nbytes
-            )
+            shared = [coords, conn, self.velocity]
+            segments = _share_arrays(shared, owned, registry)
             max_workers = max(worker_counts)
             if max_workers > 1:
                 self._ensure_pool(max_workers)
@@ -866,65 +917,45 @@ class MultiprocessRunner:
                 args = [
                     (
                         rank,
-                        x_shm.name,
-                        u_shm.name,
-                        nelem,
+                        segments,
                         int(bounds[rank]),
                         int(bounds[rank + 1]),
-                        self.params,
-                        self.repeats,
-                        traced,
-                        self.profile,
-                        program,
+                        *config,
                         self.fault_plan,
                         0,  # attempt; rewritten per dispatch
                     )
                     for rank in range(w)
                 ]
-                serial_chunks = [
-                    (
-                        xall[int(bounds[rank]) : int(bounds[rank + 1])],
-                        uall[int(bounds[rank]) : int(bounds[rank + 1])],
-                    )
-                    for rank in range(w)
-                ]
-                with self.tracer.span("measure", workers=w) as span:
-                    t0 = time.perf_counter()
+                with self.tracer.span(
+                    "measure", workers=w, vector_dim=vd
+                ) as span:
                     if w == 1:
-                        results = [
-                            _assemble_chunk(
-                                0,
-                                xall,
-                                uall,
-                                self.params,
-                                self.repeats,
-                                traced,
-                                program,
-                                self.profile,
-                            )
-                        ]
+                        results = [serial_chunk(0, bounds)]
                     else:
                         results = self._run_supervised(
-                            args, serial_chunks, registry, cancel=cancel
+                            args,
+                            functools.partial(serial_chunk, bounds=bounds),
+                            registry,
+                            cancel=cancel,
                         )
-                    wall = time.perf_counter() - t0
+                    wall = max(res.seconds for res in results)
                     if span is not None:
                         span.attributes["wall_seconds"] = wall
                 registry.counter("runner.tasks").inc(w)
                 registry.counter("runner.pickle_bytes_saved").inc(
-                    (xall.nbytes + uall.nbytes) if w > 1 else 0
+                    sum(a.nbytes for a in shared) if w > 1 else 0
                 )
                 # merge per-rank timelines (worker pids relabelled to ranks)
-                for rank, (_, rank_spans, _, _, _) in enumerate(results):
-                    self.tracer.add_spans(rank_spans, pid=rank)
-                self.chunk_checksums[w] = [cs for (_, _, cs, _, _) in results]
+                for rank, res in enumerate(results):
+                    self.tracer.add_spans(res.spans, pid=rank)
+                self.chunk_checksums[w] = [res.checksum for res in results]
                 # fold per-rank profiles + published metrics into the
                 # parent (the existing cross-process metric reduction)
-                for (_, _, _, psnap, msnap) in results:
-                    if psnap and self.profiler is not None:
-                        self.profiler.merge(psnap)
-                    if msnap:
-                        registry.merge(msnap)
+                for res in results:
+                    if res.profiles and self.profiler is not None:
+                        self.profiler.merge(res.profiles)
+                    if res.metrics:
+                        registry.merge(res.metrics)
                 if self._prom is not None:
                     self._prom.maybe_write()
                 raw.append((w, wall))

@@ -8,8 +8,6 @@ size (including padded final groups), permutation, ordering and executor
 ``np.array_equal`` (not allclose) everywhere below.
 """
 
-import pickle
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,12 +16,10 @@ from hypothesis import strategies as st
 from repro.core import ScenarioBatch, UnifiedAssembler, variant_names
 from repro.core.autotune import autotune_vector_dim
 from repro.core.codegen import (
-    ElementalGeneratedKernel,
     batched_generated_kernel,
     generate_batched_program,
-    generate_elemental_program,
 )
-from repro.core.tape import ElementalTape, record_program
+from repro.core.tape import batched_tape
 from repro.fem import box_tet_mesh
 from repro.fem.plan import get_plan
 from repro.obs.metrics import get_registry
@@ -168,21 +164,6 @@ def test_codegen_invalidated_by_fix_orientation(params):
     assert np.array_equal(after, before)  # repaired orientation = original
 
 
-def test_elemental_program_pickles_to_identical_source(params):
-    """Pool workers rebuild the exact module a parent generated."""
-    kp = params.as_kernel_params()
-    for variant in variant_names():
-        prog = generate_elemental_program(variant, kernel_params=kp)
-        clone = pickle.loads(pickle.dumps(prog))
-        assert clone.source == prog.source
-        kern = ElementalGeneratedKernel(clone)
-        tape = ElementalTape(record_program(variant, kp))
-        rng = np.random.default_rng(5)
-        xel = rng.standard_normal((23, 4, 3))
-        uel = rng.standard_normal((23, 4, 3))
-        assert np.array_equal(kern(xel, uel), tape(xel, uel))
-
-
 def test_codegen_dump_flag_writes_source(params, tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CODEGEN_DUMP", str(tmp_path))
     generate_batched_program("RS", 8, ScenarioBatch([params]))
@@ -195,12 +176,13 @@ def test_codegen_dump_flag_writes_source(params, tmp_path, monkeypatch):
 # -- fusion / arena accounting (TapeReport) ------------------------------------
 
 
-def test_codegen_report_reflects_fusion(params):
-    kp = params.as_kernel_params()
+def test_codegen_report_reflects_fusion(small_mesh, params):
     gen = generate_batched_program("B", 64, ScenarioBatch([params]))
-    replay = record_program("B", kp)
+    replay = batched_tape(
+        get_plan(small_mesh), "B", 64, ScenarioBatch([params])
+    ).program
     # fused regions eliminate intermediates: fewer live buffers than the
-    # 211-buffer replay arena
+    # replayed S=1 kernel's arena
     assert gen.report.buffers_live < replay.report.buffers_live
     assert gen.report.fused_ops > 0
     assert gen.report.hoisted_ops > 0

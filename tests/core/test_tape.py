@@ -24,18 +24,12 @@ from repro.core.autotune import (
 )
 from repro.core.dsl import KernelContext, NumpyBackend
 from repro.core.storage import Storage, TempSpec
-from repro.core.tape import (
-    ElementalTape,
-    batch_tape_cache_key,
-    batched_tape,
-    record_program,
-)
+from repro.core.tape import batch_tape_cache_key, batched_tape
 from repro.fem import box_tet_mesh
 from repro.fem.plan import get_plan
 from repro.parallel import MultiprocessRunner
 from repro.physics import AssemblyParams
 from repro.physics.fractional_step import resolve_assembler
-from repro.physics.momentum import element_rhs
 
 
 def _velocity(mesh, seed=0):
@@ -186,11 +180,17 @@ def test_compiled_accumulates_into_rhs(small_mesh, params):
 # -- arena / report ------------------------------------------------------------
 
 
+def _s1_report(mesh, params, variant, vector_dim=16):
+    """Report of the plan-path S=1 kernel (the one compiled kernel shape)."""
+    return batched_tape(
+        get_plan(mesh), variant, vector_dim, ScenarioBatch([params])
+    ).program.report
+
+
 @pytest.mark.parametrize("variant", variant_names())
-def test_arena_smaller_than_tape(params, variant):
+def test_arena_smaller_than_tape(small_mesh, params, variant):
     """Liveness planning packs many SSA values into few buffers."""
-    program = record_program(variant, params.as_kernel_params())
-    rep = program.report
+    rep = _s1_report(small_mesh, params, variant)
     assert rep.ops_live <= rep.ops_recorded
     assert 0 < rep.buffers_live < rep.ops_live
     assert rep.scatter_calls > 0
@@ -198,10 +198,10 @@ def test_arena_smaller_than_tape(params, variant):
     assert variant in rep.summary()
 
 
-def test_baseline_dce_removes_dead_ops(params):
+def test_baseline_dce_removes_dead_ops(small_mesh, params):
     """The B variant's dead stores are eliminated; RS records a lean tape."""
-    b = record_program("B", params.as_kernel_params()).report
-    rs = record_program("RS", params.as_kernel_params()).report
+    b = _s1_report(small_mesh, params, "B")
+    rs = _s1_report(small_mesh, params, "RS")
     assert b.ops_recorded >= b.ops_live
     assert rs.ops_live < b.ops_live  # restructuring shrinks the tape
     assert rs.buffers_live < b.buffers_live
@@ -356,31 +356,7 @@ def test_autotune_result_to_dict():
     assert d["winner"] == 16 and d["best_seconds"] == 1.0
 
 
-# -- elemental tape (multiprocess worker path) ---------------------------------
-
-
-def test_elemental_tape_matches_element_rhs(small_mesh, params):
-    program = record_program("RSP", params.as_kernel_params())
-    tape = ElementalTape(program)
-    plan = get_plan(small_mesh)
-    xel = plan.packed_coords()
-    uel = _velocity(small_mesh)[small_mesh.connectivity]
-    out = tape(xel, uel)
-    ref = element_rhs(xel, uel, params)
-    assert out.shape == ref.shape == (small_mesh.nelem, 4, 3)
-    assert np.allclose(out, ref, atol=1e-14)
-
-
-def test_elemental_tape_chunking_consistent(small_mesh, params):
-    """Chunked replay (runner-style) equals one-shot replay, bit for bit."""
-    program = record_program("RS", params.as_kernel_params())
-    tape = ElementalTape(program)
-    plan = get_plan(small_mesh)
-    xel = plan.packed_coords()
-    uel = _velocity(small_mesh, 4)[small_mesh.connectivity]
-    whole = ElementalTape(program)(xel, uel)
-    parts = [tape(xel[s], uel[s]) for s in (slice(0, 50), slice(50, None))]
-    assert np.array_equal(np.concatenate(parts), whole)
+# -- multiprocess runner ------------------------------------------------------
 
 
 def test_runner_compiled_mode_smoke(params):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ScenarioBatch, UnifiedAssembler, variant_names
-from repro.core.tape import batched_tape, record_program
+from repro.core.tape import batched_tape
 from repro.fem import box_tet_mesh, get_plan
 from repro.machine import gpu_roofline
 from repro.obs import (
@@ -22,7 +22,6 @@ from repro.obs import (
     NullProfiler,
     TapeProfile,
     TapeProfiler,
-    op_costs_from_program,
     profile_trace_events,
     write_flamegraph,
 )
@@ -175,33 +174,26 @@ def test_interpreted_traffic_exceeds_compiled(mesh, prof_params, prof_velocity):
 
 
 def test_op_costs_from_program(mesh, prof_params):
-    """Cost tables of the worker tape and of the plan-path S=1 kernel
-    agree with their reports, op kind by op kind."""
-    program = record_program("RSP", prof_params.as_kernel_params())
-    tape = batched_tape(
+    """The cost table of the plan-path S=1 kernel agrees with its report,
+    op kind by op kind."""
+    program = batched_tape(
         get_plan(mesh), "RSP", 32, ScenarioBatch([prof_params])
-    )
-    for costs, prog in (
-        (op_costs_from_program(program), program),
-        (op_costs_from_batch_program(tape.program), tape.program),
-    ):
-        assert len(costs) == len(prog.ops)
-        kinds = {kind for kind, *_ in costs}
-        assert kinds <= {"bin", "un", "sel", "gather", "scatter"}
-        for kind, label, rb, wb, fl in costs:
-            assert wb > 0  # every op writes its output
-            assert rb >= 0 and fl >= 0
-            assert label
-        # report op counts agree with the cost table's kinds
-        r = prog.report
-        assert sum(1 for k, *_ in costs if k == "bin") == r.binary_ops
-        assert sum(1 for k, *_ in costs if k == "un") == r.unary_ops
-        assert sum(1 for k, *_ in costs if k == "sel") == r.select_ops
-        assert sum(1 for k, *_ in costs if k == "gather") == r.gather_ops
-        assert sum(1 for k, *_ in costs if k == "scatter") == r.scatter_calls
-    # one lowering: the S=1 kernel keeps exactly the worker tape's op mix
-    assert tape.report.binary_ops == program.report.binary_ops
-    assert tape.report.gather_ops == program.report.gather_ops
+    ).program
+    costs = op_costs_from_batch_program(program)
+    assert len(costs) == len(program.ops)
+    kinds = {kind for kind, *_ in costs}
+    assert kinds <= {"bin", "un", "sel", "gather", "scatter"}
+    for kind, label, rb, wb, fl in costs:
+        assert wb > 0  # every op writes its output
+        assert rb >= 0 and fl >= 0
+        assert label
+    # report op counts agree with the cost table's kinds
+    r = program.report
+    assert sum(1 for k, *_ in costs if k == "bin") == r.binary_ops
+    assert sum(1 for k, *_ in costs if k == "un") == r.unary_ops
+    assert sum(1 for k, *_ in costs if k == "sel") == r.select_ops
+    assert sum(1 for k, *_ in costs if k == "gather") == r.gather_ops
+    assert sum(1 for k, *_ in costs if k == "scatter") == r.scatter_calls
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +228,9 @@ def test_null_profiler_contract():
     with pytest.raises(RuntimeError):
         null.for_batch_program(None, 8)
     with pytest.raises(RuntimeError):
-        null.for_kernel("RS", 8)
+        null.for_batch_codegen(None, 8)
     with pytest.raises(RuntimeError):
-        null.for_elemental(None, 8)
+        null.for_kernel("RS", 8)
 
 
 # ---------------------------------------------------------------------------

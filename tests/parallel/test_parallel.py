@@ -252,10 +252,64 @@ def test_runner_shares_element_arrays_via_shm():
     points = runner.measure([1, 2])
     assert len(points) == 2
     snap = registry.snapshot()
-    # both packed arrays shared once, regardless of how many counts ran
-    assert snap["runner.shm_bytes_shared"]["value"] == 2 * mesh.nelem * 4 * 3 * 8
-    # the 2-worker point avoided pickling both packs
-    assert snap["runner.pickle_bytes_saved"]["value"] == 2 * mesh.nelem * 4 * 3 * 8
+    # coords + connectivity + velocity shared once, regardless of how
+    # many counts ran
+    mesh_bytes = (
+        mesh.coords.nbytes + mesh.connectivity.nbytes + runner.velocity.nbytes
+    )
+    assert snap["runner.shm_bytes_shared"]["value"] == mesh_bytes
+    # the 2-worker point avoided pickling all three
+    assert snap["runner.pickle_bytes_saved"]["value"] == mesh_bytes
+
+
+@pytest.mark.parametrize("ordering", ["none", "hilbert"])
+def test_runner_spawned_kernel_chunks_bitwise(ordering):
+    """``measure([1, 2])`` in every mode, with real spawned workers.
+
+    Every rank runs the same assembly a serial run would on its chunk
+    mesh, so compiled and codegen chunk checksums are bitwise equal to
+    each other and to the interpreted assembler on that chunk mesh, the
+    reference agrees to rounding, and the chunks add up to the whole.
+    """
+    from repro.core import UnifiedAssembler
+    from repro.fem.mesh import TetMesh
+    from repro.fem.reorder import element_order
+    from repro.parallel import MultiprocessRunner
+
+    mesh = box_tet_mesh(3, 3, 3)
+    params = AssemblyParams(body_force=(0.05, -0.1, 0.2))
+    sums = {}
+    for mode in ("reference", "compiled", "codegen"):
+        runner = MultiprocessRunner(
+            mesh, params, repeats=1, assembly_mode=mode, variant="RSP",
+            ordering=ordering,
+        )
+        runner.measure([1, 2])
+        sums[mode] = runner.chunk_checksums
+    assert sums["compiled"] == sums["codegen"]  # tuple equality is bitwise
+
+    conn = mesh.connectivity
+    if ordering != "none":
+        conn = conn[element_order(mesh, ordering)]
+    vd = UnifiedAssembler(mesh, params, mode="compiled").resolve_vector_dim(
+        "RSP"
+    )
+    for w in (1, 2):
+        bounds = np.linspace(0, mesh.nelem, w + 1).astype(np.int64)
+        expected = []
+        for rank in range(w):
+            chunk = TetMesh(
+                mesh.coords, conn[bounds[rank]:bounds[rank + 1]],
+                validate=False,
+            )
+            rhs = UnifiedAssembler(chunk, params, vector_dim=vd).assemble(
+                "RSP", runner.velocity
+            )
+            expected.append(tuple(float(x) for x in rhs.sum(axis=0)))
+        assert sums["compiled"][w] == expected
+        assert np.allclose(sums["reference"][w], expected)
+    for mode in sums:
+        assert np.allclose(np.sum(sums[mode][2], axis=0), sums[mode][1][0])
 
 
 # -- locality: halo/interior split, SFC partition, overlap --------------------
@@ -356,9 +410,11 @@ def test_runner_sfc_ordering_single_worker():
 
 
 def test_runner_profiled_rank_folds_into_parent():
-    """Profiled compiled runner: per-rank op profiles return with the
-    results and fold into the parent profiler + metrics registry (the
-    w==1 path runs in-process, so no spawn pool is needed)."""
+    """Profiled compiled runner: per-rank op profiles of the S=1 kernel
+    return with the results and fold into the parent profiler + metrics
+    registry under a serial assembly's key (the w==1 path runs
+    in-process, so no spawn pool is needed)."""
+    from repro.core import UnifiedAssembler
     from repro.obs.metrics import MetricsRegistry
     from repro.parallel import MultiprocessRunner
 
@@ -377,12 +433,13 @@ def test_runner_profiled_rank_folds_into_parent():
     runner.measure([1])
     # profiled chunk checksums match the unprofiled run bit-for-bit
     assert runner.chunk_checksums[1] == plain.chunk_checksums[1]
-    prof = runner.profiler.profiles[("RS", mesh.nelem, "elemental", "worker", 1)]
+    vd = UnifiedAssembler(mesh, params, mode="compiled").resolve_vector_dim("RS")
+    prof = runner.profiler.profiles[("RS", vd, "compiled", "serial", 1)]
     assert prof.executions == 1  # repeats=1, one rank
     assert prof.total_seconds > 0 and prof.total_bytes > 0
     snap = registry.snapshot()
-    assert snap["profile.executions.RS.elemental"]["value"] == 1
-    assert snap["profile.bytes.RS.elemental"]["value"] > 0
+    assert snap["profile.executions.RS.compiled"]["value"] == 1
+    assert snap["profile.bytes.RS.compiled"]["value"] > 0
 
 
 def test_runner_profile_requires_compiled_mode():

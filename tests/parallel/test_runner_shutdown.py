@@ -131,6 +131,7 @@ def _run_batch():
     (create_shared_memory, 1),
     (_measure, 1), (_measure, 2),
     (_run_batch, 1), (_run_batch, 2), (_run_batch, 3),
+    (_measure, 3),
 ])
 def test_sigterm_right_after_segment_creation_leaks_nothing(
     monkeypatch, site, nth

@@ -31,14 +31,21 @@ def params():
     return AssemblyParams(body_force=(0.05, -0.1, 0.2))
 
 
-@pytest.fixture(scope="module")
-def clean_checksums(mesh, params):
-    runner = MultiprocessRunner(mesh, params, repeats=1, policy=POLICY)
+def _clean_run(mesh, params, assembly_mode="reference"):
+    runner = MultiprocessRunner(
+        mesh, params, repeats=1, policy=POLICY, assembly_mode=assembly_mode
+    )
     runner.measure([2])
     return runner.chunk_checksums[2]
 
 
-def _chaos_run(mesh, params, plan, policy=POLICY, tracer=None):
+@pytest.fixture(scope="module")
+def clean_checksums(mesh, params):
+    return _clean_run(mesh, params)
+
+
+def _chaos_run(mesh, params, plan, policy=POLICY, tracer=None,
+               assembly_mode="reference"):
     registry = MetricsRegistry()
     runner = MultiprocessRunner(
         mesh,
@@ -48,6 +55,7 @@ def _chaos_run(mesh, params, plan, policy=POLICY, tracer=None):
         fault_plan=plan,
         metrics=registry,
         tracer=tracer,
+        assembly_mode=assembly_mode,
     )
     points = runner.measure([2])
     counters = {
@@ -58,10 +66,19 @@ def _chaos_run(mesh, params, plan, policy=POLICY, tracer=None):
     return points, runner.chunk_checksums[2], counters
 
 
-def test_worker_crash_is_retried_bitwise(mesh, params, clean_checksums):
+@pytest.mark.parametrize("assembly_mode", ["reference", "codegen"])
+def test_worker_crash_is_retried_bitwise(
+    mesh, params, clean_checksums, assembly_mode
+):
+    """A recovered run is bitwise equal to a clean one in the reference
+    and in a kernel mode (ranks run the plan-path S=1 kernel)."""
+    if assembly_mode != "reference":
+        clean_checksums = _clean_run(mesh, params, assembly_mode)
     plan = FaultPlan.single("worker", "crash", rank=1, index=0, seed=SEED)
     tracer = Tracer()
-    points, checksums, counters = _chaos_run(mesh, params, plan, tracer=tracer)
+    points, checksums, counters = _chaos_run(
+        mesh, params, plan, tracer=tracer, assembly_mode=assembly_mode
+    )
     assert len(points) == 1 and points[0].workers == 2
     assert checksums == clean_checksums  # tuple equality is bitwise
     assert counters["resilience.worker_failures"] == 1.0
